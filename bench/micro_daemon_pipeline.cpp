@@ -1,7 +1,7 @@
-// A/B microbench for the daemon's storage-side engine: the legacy serial
-// per-worker loop (read→encode→send on one thread per SendWorker) versus the
-// pipelined engine (shared read+encode pool → per-sink bounded prefetch
-// queues → one dedicated sender per sink).
+// A/B microbench for the daemon's storage-side engine (shared read+encode
+// pool → per-sink bounded prefetch queues → one dedicated sender per sink):
+// a 2-wide encode pool — the thread budget of the paper's one SendWorker per
+// node over this bench's two nodes — versus the pool at its auto width.
 //
 // Topology: 6 shards, 2 compute nodes (2 sinks per daemon), full dataset per
 // node (scenario C2 — every batch is built and shipped twice), CRC
@@ -9,11 +9,10 @@
 // bandwidth/latency-shaped link so the wire is genuinely busy. One epoch is
 // timed end-to-end: daemon serve_epoch + both receivers fully drained.
 //
-// Appends one JSON row per engine to emlio_bench_results.jsonl and prints
-// the speedup; the pipelined engine must win on any multi-core box because
-// encode work fans out across the pool while both senders keep the links
-// saturated.
-#include <algorithm>
+// Appends one JSON row per width to emlio_bench_results.jsonl and prints
+// the speedup; the auto-width pool must win on any host with more than two
+// cores because encode work fans out across the pool while both senders
+// keep the links saturated.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +20,7 @@
 #include <thread>
 
 #include "bench_common.h"
+#include "common/thread_pool.h"
 #include "core/daemon.h"
 #include "core/planner.h"
 #include "core/receiver.h"
@@ -38,7 +38,7 @@ struct RunResult {
 
 RunResult run_epoch(const std::vector<tfrecord::ShardIndex>& indexes,
                     const core::Planner& planner, const workload::DatasetSpec& spec,
-                    bool pipelined, std::size_t pool_threads, std::size_t prefetch_depth) {
+                    std::size_t pool_threads, std::size_t prefetch_depth) {
   // Fresh channels per run: daemon → node n, n ∈ {0, 1}.
   net::SimLinkConfig link;
   link.rtt_ms = 2.0;
@@ -60,9 +60,8 @@ RunResult run_epoch(const std::vector<tfrecord::ShardIndex>& indexes,
   std::vector<tfrecord::ShardReader> readers;
   for (const auto& idx : indexes) readers.emplace_back(idx);
   core::DaemonConfig dc;
-  dc.daemon_id = pipelined ? "pipelined" : "serial";
+  dc.daemon_id = "pool" + std::to_string(pool_threads);
   dc.verify_crc = true;  // real read-side CPU cost per record
-  dc.pipelined = pipelined;
   dc.pool_threads = pool_threads;
   dc.prefetch_depth = prefetch_depth;
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> dsinks{{0u, sinks[0]},
@@ -105,13 +104,13 @@ RunResult run_epoch(const std::vector<tfrecord::ShardIndex>& indexes,
   return r;
 }
 
-json::Value row_for(const char* engine, const RunResult& r, double speedup) {
+json::Value row_for(std::size_t pool, const RunResult& r, double speedup) {
   json::Object row;
   row["bench"] = "micro_daemon_pipeline";
-  row["engine"] = std::string(engine);
+  row["pool_threads"] = static_cast<std::int64_t>(pool);
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
   row["epoch_seconds"] = r.seconds;
-  row["speedup_vs_serial"] = speedup;
+  row["speedup_vs_width2"] = speedup;
   row["batches_sent"] = static_cast<std::int64_t>(r.stats.batches_sent);
   row["bytes_sent"] = static_cast<std::int64_t>(r.stats.bytes_sent);
   row["enqueue_stalls"] = static_cast<std::int64_t>(r.stats.enqueue_stalls);
@@ -125,23 +124,26 @@ json::Value row_for(const char* engine, const RunResult& r, double speedup) {
 int main() {
   namespace fs = std::filesystem;
 
-  // Tie-by-construction guard (ROADMAP caveat): on a single hardware thread
-  // the read+encode pool cannot overlap the sender threads — both engines do
-  // the same CPU work at the same wire pacing and the A/B is meaningless.
-  // Skip explicitly (and record the skip) instead of publishing a ~1.0x
-  // "speedup" that reads like a pipeline regression. hardware_concurrency()
-  // == 0 means "unknown", not single-core — run the A/B there.
-  if (unsigned skip_cores = std::thread::hardware_concurrency();
-      skip_cores != 0 && skip_cores < 2) {
-    std::printf("micro_daemon_pipeline: SKIP — %u hardware thread(s); the serial and "
-                "pipelined engines tie by construction on <2 cores (same CPU work, same "
-                "wire pacing). Run on a >=2-core host for a meaningful A/B.\n",
-                skip_cores);
+  // Baseline: two encode threads, one per destination node. Candidate: the
+  // pool sized to the host, exactly as DaemonConfig's auto default does.
+  constexpr std::size_t kBaseline = 2;
+  const std::size_t pool = auto_pool_width();
+  const unsigned cores = std::thread::hardware_concurrency();
+
+  // Tie-by-construction guard: on ≤2 cores the auto width IS the baseline
+  // width — the same pool doing the same CPU work at the same wire pacing,
+  // so the A/B is meaningless. Skip explicitly (and record the skip) instead
+  // of publishing a ~1.0x "speedup" that reads like a pipeline regression.
+  if (pool <= kBaseline) {
+    std::printf("micro_daemon_pipeline: SKIP — %u hardware thread(s); the auto pool width "
+                "equals the %zu-thread baseline. Run on a >=3-core host for a meaningful "
+                "A/B.\n",
+                cores, kBaseline);
     json::Object row;
     row["bench"] = "micro_daemon_pipeline";
     row["skipped"] = true;
-    row["reason"] = "fewer than 2 hardware threads: engines tie by construction";
-    row["cores"] = static_cast<std::int64_t>(skip_cores);
+    row["reason"] = "auto pool width equals the baseline width";
+    row["cores"] = static_cast<std::int64_t>(cores);
     bench::append_json_line(json::Value(std::move(row)));
     return 0;
   }
@@ -157,36 +159,31 @@ int main() {
   core::PlannerConfig pc;
   pc.batch_size = 32;
   pc.epochs = 1;
-  pc.threads_per_node = 1;  // the paper's default T: serial = 1 worker/node
   pc.full_dataset_per_node = true;
   core::Planner planner(indexes, pc);
 
-  unsigned cores = std::thread::hardware_concurrency();
   std::printf("micro_daemon_pipeline: %zu shards, %llu samples x 2 nodes, B=%zu, CRC on, "
               "%u cores\n",
               indexes.size(), static_cast<unsigned long long>(planner.dataset_size()),
               pc.batch_size, cores);
 
-  // Warm the page cache so both engines read from memory (this measures the
+  // Warm the page cache so both runs read from memory (this measures the
   // engine, not cold-file I/O luck).
   for (const auto& idx : indexes) tfrecord::ShardReader(idx).verify_all();
 
-  // Pool sized to the host, exactly as DaemonConfig's auto default does.
-  std::size_t pool = std::clamp<std::size_t>(cores, 2, 8);
-  auto serial = run_epoch(indexes, planner, spec, /*pipelined=*/false, 0, 16);
-  auto piped = run_epoch(indexes, planner, spec, /*pipelined=*/true, pool,
-                         /*prefetch_depth=*/16);
+  auto base = run_epoch(indexes, planner, spec, kBaseline, /*prefetch_depth=*/16);
+  auto wide = run_epoch(indexes, planner, spec, pool, /*prefetch_depth=*/16);
 
-  double speedup = serial.seconds / piped.seconds;
-  std::printf("  serial    : %.3f s\n", serial.seconds);
-  std::printf("  pipelined : %.3f s  (pool=%zu, prefetch=16)  speedup %.2fx\n", piped.seconds,
-              pool, speedup);
-  std::printf("  pipelined balance: %llu enqueue stalls / %llu sender stalls, peak depth %llu\n",
-              static_cast<unsigned long long>(piped.stats.enqueue_stalls),
-              static_cast<unsigned long long>(piped.stats.sender_stalls),
-              static_cast<unsigned long long>(piped.stats.queue_peak_depth));
-  bench::append_json_line(row_for("serial", serial, 1.0));
-  bench::append_json_line(row_for("pipelined", piped, speedup));
+  double speedup = base.seconds / wide.seconds;
+  std::printf("  pool=%zu    : %.3f s\n", kBaseline, base.seconds);
+  std::printf("  pool=%zu    : %.3f s  (auto width, prefetch=16)  speedup %.2fx\n", pool,
+              wide.seconds, speedup);
+  std::printf("  pool=%zu balance: %llu enqueue stalls / %llu sender stalls, peak depth %llu\n",
+              pool, static_cast<unsigned long long>(wide.stats.enqueue_stalls),
+              static_cast<unsigned long long>(wide.stats.sender_stalls),
+              static_cast<unsigned long long>(wide.stats.queue_peak_depth));
+  bench::append_json_line(row_for(kBaseline, base, 1.0));
+  bench::append_json_line(row_for(pool, wide, speedup));
 
   fs::remove_all(dir);
   return 0;

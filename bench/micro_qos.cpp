@@ -85,7 +85,6 @@ QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes, const core::Pla
   core::DaemonConfig dc;
   dc.daemon_id = with_b ? "contended" : "isolated";
   dc.verify_crc = true;  // real encode-side CPU cost per record
-  dc.pipelined = true;
   dc.pool_threads = 4;
   dc.prefetch_depth = 8;
   dc.node_qos[0] = qos_a;

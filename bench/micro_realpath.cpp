@@ -29,7 +29,6 @@ double run_once(core::Transport transport, std::size_t streams, double rtt_ms) {
   core::ServiceConfig cfg;
   cfg.dataset_dir = dir.string();
   cfg.batch_size = 32;
-  cfg.threads_per_node = 2;
   cfg.transport = transport;
   cfg.num_streams = streams;
   cfg.link.rtt_ms = rtt_ms;

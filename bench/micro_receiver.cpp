@@ -1,25 +1,25 @@
-// A/B microbench for the compute-side receiver: the legacy serial engine
-// (one receive→decode→sequence thread) versus the pooled engine (per-source
-// ingest threads → shared decode ThreadPool → Sequencer-ordered delivery).
+// A/B microbench for the compute-side receiver (per-source ingest threads →
+// shared decode ThreadPool → Sequencer-ordered delivery): a 1-wide decode
+// pool versus a 4-wide one.
 //
 // Two phases:
 //
 //   1. Ordered-delivery contract (always runs): a deterministic multi-sender
 //      script — sentinel overtakes, epoch reordering, interleaved senders —
-//      is replayed through both engines from ONE source (so arrival order is
+//      is replayed at both widths from ONE source (so arrival order is
 //      fixed), and the delivered batch streams must be byte-identical and
 //      identically ordered. Exit 1 on any divergence.
 //
 //   2. Decode-throughput A/B (needs ≥4 cores): 4 daemons push decode-heavy
 //      batches over 4 sim-transport channels into one receiver (true
-//      multi-source fan-in). Serial decodes the 4-way fan-in on one thread;
-//      pooled fans it across 4 workers. On a ≥4-core host the pooled engine
-//      must deliver ≥1.5× the decode throughput; below 4 cores the A/B is
+//      multi-source fan-in). Width 1 decodes the 4-way fan-in on one worker;
+//      width 4 fans it across 4. On a ≥4-core host width 4 must deliver
+//      ≥1.5× the decode throughput; below 4 cores the A/B is
 //      meaningless (the workers share a core with ingest and the senders),
 //      so the bench prints an explicit SKIP, records a skipped JSON row and
 //      exits 0 — same protocol as bench_micro_daemon_pipeline.
 //
-// Appends one JSON row per engine (or the skip row) to
+// Appends one JSON row per width (or the skip row) to
 // emlio_bench_results.jsonl.
 #include <atomic>
 #include <chrono>
@@ -60,7 +60,7 @@ msgpack::WireBatch make_data_batch(std::uint32_t epoch, std::uint64_t batch_id,
 }
 
 /// Single source replaying a fixed payload sequence — deterministic arrival
-/// order, so serial and pooled delivery can be compared batch for batch.
+/// order, so delivery at two pool widths can be compared batch for batch.
 struct ReplaySource final : net::MessageSource {
   explicit ReplaySource(std::vector<Payload> payloads) : script(std::move(payloads)) {}
   std::optional<Payload> recv() override {
@@ -117,22 +117,22 @@ std::vector<Payload> build_contract_script() {
 bool run_contract_phase() {
   auto script = build_contract_script();
   std::vector<msgpack::WireBatch> streams[2];
-  for (int pooled = 0; pooled < 2; ++pooled) {
+  for (int wide = 0; wide < 2; ++wide) {
     core::ReceiverConfig rc;
     rc.num_senders = 2;
     rc.queue_capacity = 8;
-    rc.decode_threads = pooled ? 4 : 0;
+    rc.decode_threads = wide ? 4 : 1;
     core::Receiver receiver(rc, std::make_unique<ReplaySource>(script));
-    streams[pooled] = drain(receiver);
+    streams[wide] = drain(receiver);
   }
   if (streams[0] != streams[1]) {
     std::fprintf(stderr,
-                 "micro_receiver: ORDERED-DELIVERY CONTRACT VIOLATED — serial delivered "
-                 "%zu batches, pooled %zu, streams differ\n",
+                 "micro_receiver: ORDERED-DELIVERY CONTRACT VIOLATED — width 1 delivered "
+                 "%zu batches, width 4 %zu, streams differ\n",
                  streams[0].size(), streams[1].size());
     return false;
   }
-  std::printf("micro_receiver: contract — serial and pooled delivered byte-identical, "
+  std::printf("micro_receiver: contract — widths 1 and 4 delivered byte-identical, "
               "identically-ordered streams (%zu batches incl. epoch markers)\n",
               streams[0].size());
   return true;
@@ -193,13 +193,13 @@ RunResult run_fan_in(const std::vector<std::vector<Payload>>& per_daemon_payload
   return r;
 }
 
-json::Value row_for(const char* engine, const RunResult& r, double speedup) {
+json::Value row_for(std::size_t decode_threads, const RunResult& r, double speedup) {
   json::Object row;
   row["bench"] = "micro_receiver";
-  row["engine"] = std::string(engine);
+  row["decode_threads"] = static_cast<std::int64_t>(decode_threads);
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
   row["epoch_seconds"] = r.seconds;
-  row["speedup_vs_serial"] = speedup;
+  row["speedup_vs_width1"] = speedup;
   row["batches"] = static_cast<std::int64_t>(r.batches);
   row["samples"] = static_cast<std::int64_t>(r.samples);
   row["decode_ns"] = static_cast<std::int64_t>(r.stats.decode_ns);
@@ -223,8 +223,8 @@ int main() {
   const bool force = std::getenv("EMLIO_MICRO_RECEIVER_FORCE") != nullptr;
   if (!force && cores != 0 && cores < 4) {
     std::printf("micro_receiver: SKIP — %u hardware thread(s); the 4-wide decode pool, the "
-                "ingest threads and the 4 sim senders would share cores and the serial-vs-"
-                "pooled A/B is meaningless. Run on a >=4-core host for the throughput "
+                "ingest threads and the 4 sim senders would share cores and the width-1-vs-"
+                "width-4 A/B is meaningless. Run on a >=4-core host for the throughput "
                 "assertion.\n",
                 cores);
     json::Object row;
@@ -254,32 +254,33 @@ int main() {
   std::printf("micro_receiver: %zu daemons x %zu batches (%zu x %zu B samples), %u cores\n",
               kDaemons, kBatchesPerDaemon, kSamplesPerBatch, kSampleBytes, cores);
 
-  auto serial = run_fan_in(per_daemon, /*decode_threads=*/0);
-  auto pooled = run_fan_in(per_daemon, /*decode_threads=*/4);
+  auto narrow = run_fan_in(per_daemon, /*decode_threads=*/1);
+  auto wide = run_fan_in(per_daemon, /*decode_threads=*/4);
 
   const std::uint64_t want = kDaemons * kBatchesPerDaemon;
-  if (serial.batches != want || pooled.batches != want) {
-    std::fprintf(stderr, "micro_receiver: WRONG BATCH COUNT (serial %llu, pooled %llu, want %llu)\n",
-                 static_cast<unsigned long long>(serial.batches),
-                 static_cast<unsigned long long>(pooled.batches),
+  if (narrow.batches != want || wide.batches != want) {
+    std::fprintf(stderr,
+                 "micro_receiver: WRONG BATCH COUNT (width 1 %llu, width 4 %llu, want %llu)\n",
+                 static_cast<unsigned long long>(narrow.batches),
+                 static_cast<unsigned long long>(wide.batches),
                  static_cast<unsigned long long>(want));
     return 1;
   }
 
-  double speedup = serial.seconds / pooled.seconds;
-  std::printf("  serial : %.3f s  (decode busy %.1f ms)\n", serial.seconds,
-              static_cast<double>(serial.stats.decode_ns) / 1e6);
-  std::printf("  pooled : %.3f s  (4 decode threads, decode busy %.1f ms, %llu resequence "
-              "stalls, %llu decode stalls)  speedup %.2fx\n",
-              pooled.seconds, static_cast<double>(pooled.stats.decode_ns) / 1e6,
-              static_cast<unsigned long long>(pooled.stats.resequence_stalls),
-              static_cast<unsigned long long>(pooled.stats.decode_stalls), speedup);
-  bench::append_json_line(row_for("serial", serial, 1.0));
-  bench::append_json_line(row_for("pooled", pooled, speedup));
+  double speedup = narrow.seconds / wide.seconds;
+  std::printf("  width 1 : %.3f s  (decode busy %.1f ms)\n", narrow.seconds,
+              static_cast<double>(narrow.stats.decode_ns) / 1e6);
+  std::printf("  width 4 : %.3f s  (decode busy %.1f ms, %llu resequence stalls, %llu decode "
+              "stalls)  speedup %.2fx\n",
+              wide.seconds, static_cast<double>(wide.stats.decode_ns) / 1e6,
+              static_cast<unsigned long long>(wide.stats.resequence_stalls),
+              static_cast<unsigned long long>(wide.stats.decode_stalls), speedup);
+  bench::append_json_line(row_for(1, narrow, 1.0));
+  bench::append_json_line(row_for(4, wide, speedup));
 
   if (speedup < 1.5 && (cores == 0 || cores >= 4)) {
     std::fprintf(stderr,
-                 "micro_receiver: FAIL — pooled decode speedup %.2fx < 1.5x on a %u-core "
+                 "micro_receiver: FAIL — width-4 decode speedup %.2fx < 1.5x on a %u-core "
                  "host; the decode fan-out is not paying for itself\n",
                  speedup, cores);
     return 1;

@@ -60,7 +60,6 @@ double run_emlio(const workload::DatasetSpec& spec, const std::string& dir, doub
   core::ServiceConfig cfg;
   cfg.dataset_dir = dir;
   cfg.batch_size = 16;
-  cfg.threads_per_node = 2;
   cfg.transport = core::Transport::kInProcess;
   cfg.link.rtt_ms = rtt_ms;
   core::EmlioService service(cfg);

@@ -20,9 +20,10 @@
 namespace emlio {
 
 /// The ONE auto pool-width rule, shared by the engines' static sizing
-/// (pool_threads/decode_threads = 0), the governor's auto max bound
-/// (adaptive_max_threads = 0), and the eval models' converged-width model:
-/// `cores` (0 = this host's hardware concurrency) clamped to [2, 8].
+/// (DaemonConfig::pool_threads / ReceiverConfig::decode_threads = 0), the
+/// governor's auto max bound (adaptive_max_threads = 0), and the eval
+/// models' converged-width model: `cores` (0 = this host's hardware
+/// concurrency) clamped to [2, 8].
 inline std::size_t auto_pool_width(std::size_t cores = 0) {
   if (cores == 0) cores = std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(cores, 2, 8);

@@ -11,28 +11,6 @@
 
 namespace emlio::core {
 
-namespace {
-
-/// Scope guard: joins every joinable thread in the vector on destruction, so
-/// an exception thrown while workers are live can never destroy a joinable
-/// std::thread (which would std::terminate).
-class JoinGuard {
- public:
-  explicit JoinGuard(std::vector<std::thread>& threads) : threads_(threads) {}
-  ~JoinGuard() {
-    for (auto& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-  }
-  JoinGuard(const JoinGuard&) = delete;
-  JoinGuard& operator=(const JoinGuard&) = delete;
-
- private:
-  std::vector<std::thread>& threads_;
-};
-
-}  // namespace
-
 /// Per-sink pipeline lane: the locally-owned assignments for one destination
 /// node (sorted by batch_id), a re-sequencer for out-of-order encode
 /// completions, and the shared-lane prefetch queue its sender thread drains.
@@ -68,12 +46,10 @@ struct Daemon::SinkLane {
 };
 
 Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
-               std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks,
-               TimestampLogger* timestamps)
+               std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks)
     : config_(std::move(config)),
       tracer_(obs::TracerConfig{config_.trace, config_.trace_ring}),
-      sinks_(std::move(sinks)),
-      timestamps_(timestamps) {
+      sinks_(std::move(sinks)) {
   for (auto& r : readers) {
     std::uint32_t id = r.index().shard_id;
     readers_.emplace(id, std::move(r));
@@ -84,10 +60,10 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
     cc.policy = config_.cache_policy;
     cache_ = std::make_shared<cache::SampleCache>(cc);
   }
-  // Pipelined daemons build the pool (and governor) NOW, so stats() — a
-  // point-in-time snapshot any thread may take — never races a lazy
-  // first-epoch initialization. Serial daemons still spawn no extra threads.
-  if (config_.pipelined) ensure_encode_pool();
+  // Build the pool (and governor) NOW, so stats() — a point-in-time
+  // snapshot any thread may take — never races a lazy first-epoch
+  // initialization.
+  build_encode_pool();
 }
 
 std::vector<std::uint32_t> Daemon::shard_ids() const {
@@ -134,7 +110,7 @@ DaemonStats Daemon::stats() const {
     s.pool_resizes = g.resizes;
     s.pool_threads_current = g.threads_current;
     s.pool_threads_peak = g.threads_peak;
-  } else if (encode_pool_) {
+  } else {
     s.pool_threads_current = encode_pool_->target_threads();
     s.pool_threads_peak = s.pool_threads_current;
   }
@@ -233,13 +209,10 @@ PoolGovernor::Window Daemon::sample_lane_window() {
   return w;
 }
 
-void Daemon::ensure_encode_pool() {
-  if (!encode_pool_) {
-    std::size_t n = config_.pool_threads ? config_.pool_threads : auto_pool_width();
-    encode_pool_ = std::make_unique<ThreadPool>(n);
-  }
-  std::size_t width_cap = encode_pool_->target_threads();
-  if (config_.adaptive_pool && !governor_) {
+void Daemon::build_encode_pool() {
+  std::size_t width_cap = config_.pool_threads ? config_.pool_threads : auto_pool_width();
+  encode_pool_ = std::make_unique<ThreadPool>(width_cap);
+  if (config_.adaptive_pool) {
     auto gc = PoolGovernorConfig::from_knobs(config_.adaptive_min_threads,
                                              config_.adaptive_max_threads,
                                              config_.adaptive_interval_ms);
@@ -261,10 +234,8 @@ void Daemon::ensure_encode_pool() {
   // Global in-flight encode budget for DWRR admission: ~2× the widest the
   // pool can be keeps every worker fed while staying small enough that the
   // weighted cycle — not queue luck — decides encode share under contention.
-  // Monotone max: a later call (pool at a governed-down width) never shrinks
-  // the budget below what the first sizing established.
   MutexLock lock(admit_mutex_);
-  admit_budget_ = std::max(admit_budget_, std::max<std::size_t>(4, 2 * width_cap));
+  admit_budget_ = std::max<std::size_t>(4, 2 * width_cap);
 }
 
 msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
@@ -336,8 +307,8 @@ std::map<std::uint32_t, std::vector<BatchAssignment>> Daemon::local_batches(
       }
     }
   }
-  // Batch-id order per node — the deterministic wire order the pipelined
-  // engine's senders preserve.
+  // Batch-id order per node — the deterministic wire order the senders
+  // preserve.
   for (auto& [node_id, batches] : out) {
     std::sort(batches.begin(), batches.end(),
               [](const BatchAssignment& a, const BatchAssignment& b) {
@@ -362,8 +333,6 @@ bool Daemon::validate_plan(
   }
   return true;
 }
-
-// --------------------------------------------------------- pipelined engine
 
 void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
   OutboundBatch out;
@@ -514,7 +483,6 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
     // Everything between encode-done and here — resequencer parking + queue
     // residency + rate-limit throttling — is the lane-wait stage.
     if (tp) tp->note(obs::Stage::kLaneWait, obs::now_ns());
-    if (timestamps_) timestamps_->record("batch_send", static_cast<std::int64_t>(msg->batch_id));
     bool sent;
     {
       obs::StageTimer wire(tp, obs::Stage::kWire);
@@ -539,7 +507,6 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
 bool Daemon::pipelined_epoch(const EpochPlan& plan,
                              std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
                              NodeCounters& counters) {
-  ensure_encode_pool();
   const std::size_t depth = std::max<std::size_t>(1, config_.prefetch_depth);
 
   // One lane per destination node with locally-owned batches (already in
@@ -646,111 +613,21 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
   return clean;
 }
 
-// ------------------------------------------------------ legacy serial engine
-
-void Daemon::send_worker(const WorkerPlan& worker, std::uint32_t epoch,
-                         std::atomic<std::uint64_t>& node_counter) {
-  net::MessageSink& sink = *sinks_.at(worker.node_id);  // validated upstream
-
-  for (const auto& a : worker.batches) {
-    if (!owns_shard(a.shard_id)) continue;  // another daemon's shard
-    obs::BatchTrace trace;
-    obs::BatchTrace* tp = tracer_.enabled() ? &trace : nullptr;
-    msgpack::WireBatch batch;
-    {
-      obs::StageTimer read(tp, obs::Stage::kRead);
-      batch = build_batch(a);
-    }
-    std::uint64_t nsamples = batch.samples.size();
-    if (tp) {
-      trace.epoch = batch.epoch;
-      trace.batch_id = batch.batch_id;
-      trace.node_id = batch.node_id;
-      trace.shard_id = batch.shard_id;
-      trace.nsamples = nsamples;
-      if (config_.trace_wire) {
-        batch.trace_origin_ns = static_cast<std::uint64_t>(trace.start_ns);
-      }
-    }
-    Payload payload;
-    {
-      obs::StageTimer enc(tp, obs::Stage::kEncode);
-      payload = msgpack::BatchCodec::encode(batch, *pool_);
-    }
-    std::uint64_t nbytes = payload.size();
-    if (tp) trace.wire_bytes = nbytes;
-    if (timestamps_) timestamps_->record("batch_send", static_cast<std::int64_t>(a.batch_id));
-    bool sent;
-    {
-      obs::StageTimer wire(tp, obs::Stage::kWire);
-      sent = sink.send(std::move(payload));
-    }
-    if (!sent) {
-      log::warn("daemon ", config_.daemon_id, ": sink closed mid-epoch ", epoch);
-      return;
-    }
-    if (tp) tracer_.complete(trace);
-    batches_sent_.fetch_add(1, std::memory_order_relaxed);
-    samples_sent_.fetch_add(nsamples, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(nbytes, std::memory_order_relaxed);
-    node_counter.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-bool Daemon::serial_epoch(const EpochPlan& plan, NodeCounters& counters) {
-  std::atomic<bool> clean{true};
-  std::vector<std::thread> threads;
-  // Join-or-fail cleanly: if anything below throws while workers are live
-  // (the old code could — counters.at() on an unknown node), the guard joins
-  // them instead of letting ~thread() call std::terminate.
-  JoinGuard join_guard(threads);
-  for (const auto& node : plan.nodes) {
-    for (const auto& worker : node.workers) {
-      bool local = false;
-      for (const auto& b : worker.batches) {
-        if (owns_shard(b.shard_id)) {
-          local = true;
-          break;
-        }
-      }
-      if (local) {
-        threads.emplace_back([this, &worker, &clean, epoch = plan.epoch,
-                              counter = &counters.at(worker.node_id)] {
-          try {
-            send_worker(worker, epoch, *counter);
-          } catch (const std::exception& e) {
-            // An exception escaping a std::thread is std::terminate — trap
-            // it into the daemon's error state instead.
-            record_error("send worker (node " + std::to_string(worker.node_id) +
-                         "): " + e.what());
-            clean.store(false, std::memory_order_release);
-          }
-        });
-      }
-    }
-  }
-  for (auto& t : threads) t.join();  // guard then has nothing left to do
-  return clean.load(std::memory_order_acquire);
-}
-
 // ------------------------------------------------------------------- epochs
 
 bool Daemon::serve_epoch(const EpochPlan& plan) {
-  if (timestamps_) timestamps_->record("epoch_start", plan.epoch);
-
   auto local = local_batches(plan);
   if (!validate_plan(plan.epoch, local)) return false;  // error state set; nothing launched
 
   // Per-destination batch counters: the sentinel carries how many data
   // batches this daemon shipped, so the receiver can detect cross-stream
-  // sentinel overtaking (see batch_codec.h). Pre-sized for every sink and
-  // every plan node so no lookup can fail while workers are live.
+  // sentinel overtaking (see batch_codec.h). Pre-sized for every sink —
+  // validate_plan guaranteed every lane's node has one — so no lookup can
+  // fail while workers are live.
   NodeCounters counters;
   for (const auto& [node_id, sink] : sinks_) counters[node_id];
-  for (const auto& node : plan.nodes) counters[node.node_id];
 
-  bool clean = config_.pipelined ? pipelined_epoch(plan, local, counters)
-                                 : serial_epoch(plan, counters);
+  bool clean = pipelined_epoch(plan, local, counters);
 
   // End-of-epoch sentinel to every destination node this daemon serves
   // (best-effort on a failed lane: a closed sink rejects it harmlessly).
@@ -759,7 +636,6 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
         node_id, plan.epoch, counters.at(node_id).load(std::memory_order_relaxed));
     sink->send(msgpack::BatchCodec::encode(sentinel));
   }
-  if (timestamps_) timestamps_->record("epoch_end", plan.epoch);
   return clean;
 }
 

@@ -36,7 +36,6 @@
 #include "common/pool_governor.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "common/timestamp_logger.h"
 #include "core/planner.h"
 #include "json/json.h"
 #include "msgpack/batch_codec.h"
@@ -49,20 +48,16 @@ namespace emlio::core {
 struct DaemonConfig {
   std::string daemon_id = "daemon0";
   bool verify_crc = false;  ///< re-verify TFRecord CRCs on the hot path
-  /// Pipelined engine (default): read+encode on a shared pool, per-sink
-  /// prefetch queues, one sender thread per sink. false = the legacy serial
-  /// per-worker loop (kept for A/B benching; see bench/micro_daemon_pipeline).
-  bool pipelined = true;
   /// Read+encode pool size. 0 = auto (hardware concurrency, clamped to
   /// [2, 8]).
   std::size_t pool_threads = 0;
   /// Per-sink encoded-batch prefetch queue capacity — the paper's HWM. Also
   /// bounds how many encode jobs may be in flight per sink.
   std::size_t prefetch_depth = 16;
-  /// Adaptive encode-pool sizing (pipelined engine only): a PoolGovernor
-  /// grows the pool when sender_stalls dominates the stall window (the wire
-  /// waits on encode) and shrinks it when enqueue_stalls does (encode outran
-  /// the wire), within [adaptive_min_threads, adaptive_max_threads]. The
+  /// Adaptive encode-pool sizing: a PoolGovernor grows the pool when
+  /// sender_stalls dominates the stall window (the wire waits on encode) and
+  /// shrinks it when enqueue_stalls does (encode outran the wire), within
+  /// [adaptive_min_threads, adaptive_max_threads]. The
   /// pool still starts at pool_threads; 0 max = auto (hardware concurrency,
   /// clamped to [2, 8] like pool_threads' auto).
   bool adaptive_pool = false;
@@ -82,7 +77,7 @@ struct DaemonConfig {
   /// Sample-cache byte budget. 0 (default) disables the cache; otherwise
   /// record payloads are kept in memory keyed by (shard, sample index), so
   /// warm epochs skip the shard read — and CRC verification — entirely
-  /// (see src/cache/sample_cache.h). Works under both engines.
+  /// (see src/cache/sample_cache.h).
   std::size_t cache_bytes = 0;
   cache::CachePolicy cache_policy = cache::CachePolicy::kClock;
   /// Per-batch stage tracing (src/obs): every batch carries a stamp sheet
@@ -99,9 +94,9 @@ struct DaemonConfig {
   bool trace_wire = false;
 };
 
-// Stats counter convention (both engines, daemon AND receiver — this is the
-// one place it is documented): every hot-path counter is an independent
-// relaxed std::atomic. Writers use fetch_add/compare_exchange with
+// Stats counter convention (daemon AND receiver — this is the one place it
+// is documented): every hot-path counter is an independent relaxed
+// std::atomic. Writers use fetch_add/compare_exchange with
 // memory_order_relaxed; snapshot readers (stats()) use relaxed loads. No
 // counter is used to publish other data, so no acquire/release pairing is
 // needed; cross-counter invariants (samples vs batches, received vs
@@ -112,7 +107,7 @@ struct DaemonStats {
   std::uint64_t samples_sent = 0;
   std::uint64_t bytes_sent = 0;  ///< serialized payload bytes
   BufferPool::Stats encode_pool; ///< reuse behaviour of the encode buffers
-  // Pipeline balance counters (pipelined engine only):
+  // Pipeline balance counters:
   std::uint64_t enqueue_stalls = 0;   ///< encodes that found their sink queue
                                       ///< full (disk/encode outran the wire)
   std::uint64_t sender_stalls = 0;    ///< sender pops that found the queue
@@ -122,14 +117,14 @@ struct DaemonStats {
   /// senders join — so a mid-epoch snapshot reflects completed epochs only.
   std::uint64_t queue_peak_depth = 0;
   std::uint64_t errors = 0;           ///< plan-validation + worker failures
-  // Encode-pool sizing (pipelined engine). Without the governor, current ==
-  // peak == the configured width and resizes stays 0.
+  // Encode-pool sizing. Without the governor, current == peak == the
+  // configured width and resizes stays 0.
   std::uint64_t pool_resizes = 0;        ///< governor grow+shrink steps applied
   std::uint64_t pool_threads_current = 0;///< encode-pool width right now
   std::uint64_t pool_threads_peak = 0;   ///< widest the encode pool has been
-  // Storage-read accounting (both engines). With the sample cache warm and
-  // the dataset inside the budget, whole warm epochs add zero here — the
-  // acceptance criterion bench_micro_cache asserts.
+  // Storage-read accounting. With the sample cache warm and the dataset
+  // inside the budget, whole warm epochs add zero here — the acceptance
+  // criterion bench_micro_cache asserts.
   std::uint64_t store_reads = 0;         ///< contiguous shard slice reads
   std::uint64_t store_records_read = 0;  ///< records those reads covered
   /// Byte-moving syscalls the sinks issued on the wire path (summed over
@@ -139,10 +134,10 @@ struct DaemonStats {
   /// parking and other control syscalls are excluded on every transport.
   std::uint64_t wire_syscalls = 0;
   cache::SampleCacheStats cache;         ///< zeros when the cache is off
-  /// Per-destination-node lane breakdown (pipelined engine): completed
-  /// epochs folded per node plus any live epoch's lanes, sorted by node id.
-  /// enqueue_stalls/sender_stalls/queue_peak_depth above are the aggregates
-  /// of these (sum / sum / max).
+  /// Per-destination-node lane breakdown: completed epochs folded per node
+  /// plus any live epoch's lanes, sorted by node id. enqueue_stalls/
+  /// sender_stalls/queue_peak_depth above are the aggregates of these
+  /// (sum / sum / max).
   std::vector<LaneStats> lanes;
   /// Per-stage latency quantiles (read/encode/lane_wait/wire + "e2e"), ns.
   /// Empty unless DaemonConfig::trace.
@@ -160,15 +155,14 @@ class Daemon {
   /// `sinks`: destination compute nodes, indexed by node_id. Sinks are
   /// shared (other daemons may push to the same receiver).
   Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
-         std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks,
-         TimestampLogger* timestamps = nullptr);
+         std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks);
 
   /// Serve one epoch of `plan` (blocking). Validates that every plan node
-  /// with locally-owned batches has a sink, then runs the pipelined (or
-  /// serial) engine and finishes with one end-of-epoch sentinel per
-  /// destination node. Returns false — with ok()/last_error() set — on
-  /// validation failure (nothing is launched) or when any worker failed
-  /// mid-epoch; it never throws out of a worker thread.
+  /// with locally-owned batches has a sink, then runs the pipelined engine
+  /// and finishes with one end-of-epoch sentinel per destination node.
+  /// Returns false — with ok()/last_error() set — on validation failure
+  /// (nothing is launched) or when any worker failed mid-epoch; it never
+  /// throws out of a worker thread.
   bool serve_epoch(const EpochPlan& plan);
 
   /// Serve all epochs [0, epochs) from the planner; stops early and returns
@@ -203,7 +197,7 @@ class Daemon {
   struct SinkLane;
   using NodeCounters = std::map<std::uint32_t, std::atomic<std::uint64_t>>;
 
-  /// The shard-locality rule, single-sourced for validation + both engines.
+  /// The shard-locality rule, single-sourced for validation + the engine.
   bool owns_shard(std::uint32_t shard_id) const { return readers_.count(shard_id) != 0; }
   /// Locally-owned assignments per destination node, sorted by batch_id.
   std::map<std::uint32_t, std::vector<BatchAssignment>> local_batches(
@@ -214,16 +208,13 @@ class Daemon {
   bool pipelined_epoch(const EpochPlan& plan,
                        std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
                        NodeCounters& counters);
-  bool serial_epoch(const EpochPlan& plan, NodeCounters& counters);
   void encode_job(SinkLane& lane, std::size_t seq);
   void pump(SinkLane& lane);
   void admit_more();
   void sender_loop(SinkLane& lane, std::uint32_t epoch);
-  void send_worker(const WorkerPlan& worker, std::uint32_t epoch,
-                   std::atomic<std::uint64_t>& node_counter);
   msgpack::WireBatch build_batch(const BatchAssignment& assignment) const;
   void record_error(const std::string& what);
-  void ensure_encode_pool();
+  void build_encode_pool();
   LaneQos lane_qos_for(std::uint32_t node_id) const;
   /// One governor control window of per-lane evidence — the cold-sink fix
   /// lives here (see the .cpp).
@@ -236,7 +227,6 @@ class Daemon {
   obs::Tracer tracer_;
   std::map<std::uint32_t, tfrecord::ShardReader> readers_;
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks_;
-  TimestampLogger* timestamps_;
   /// Encode buffers cycle through here: serialized, sent, recycled when the
   /// transport (or receiver) drops the last reference.
   std::shared_ptr<BufferPool> pool_ = BufferPool::create();
@@ -244,9 +234,8 @@ class Daemon {
   /// shared_ptr so in-flight batch views built from it stay valid however
   /// long the transport holds them.
   std::shared_ptr<cache::SampleCache> cache_;
-  /// Shared read+encode pool (pipelined engine; built at construction so
-  /// stats() never races its creation; null for serial daemons, which spawn
-  /// no extra threads).
+  /// Shared read+encode pool, built at construction so stats() never races
+  /// its creation.
   std::unique_ptr<ThreadPool> encode_pool_;
 
   std::atomic<std::uint64_t> batches_sent_{0};
@@ -260,7 +249,7 @@ class Daemon {
   mutable Mutex error_mutex_;
   std::string last_error_ EMLIO_GUARDED_BY(error_mutex_);
 
-  // Encode-pool admission (pipelined engine), all guarded by admit_mutex_:
+  // Encode-pool admission, all guarded by admit_mutex_:
   // one DWRR cycle picks which sink lane gets the next encode job, bounded
   // by a global running-job budget (≈ 2× the widest pool — enough to keep
   // every worker fed, small enough that the weighted choice decides encode

@@ -21,7 +21,7 @@ std::shared_ptr<net::MessageSink> wrap_push(std::unique_ptr<net::PushSocket> pus
 }  // namespace
 
 EmlioService::EmlioService(ServiceConfig config)
-    : config_(std::move(config)), timestamps_(SteadyClock::instance()) {
+    : config_(std::move(config)) {
   indexes_ = tfrecord::load_all_indexes(config_.dataset_dir);
   if (indexes_.empty()) {
     throw std::runtime_error("emlio service: no shards found in " + config_.dataset_dir);
@@ -39,7 +39,6 @@ EmlioService::EmlioService(ServiceConfig config)
   PlannerConfig pc;
   pc.batch_size = config_.batch_size;
   pc.epochs = config_.epochs;
-  pc.threads_per_node = config_.threads_per_node;
   pc.seed = config_.seed;
   pc.shuffle = config_.shuffle;
   planner_ = std::make_unique<Planner>(indexes_, pc);
@@ -108,7 +107,6 @@ void EmlioService::start() {
   DaemonConfig dc;
   dc.daemon_id = "daemon0";
   dc.verify_crc = config_.verify_crc;
-  dc.pipelined = config_.pipelined;
   dc.pool_threads = config_.pipeline_pool_threads;
   dc.prefetch_depth = config_.prefetch_depth ? config_.prefetch_depth : config_.high_water_mark;
   dc.adaptive_pool = config_.adaptive_pool;
@@ -125,7 +123,7 @@ void EmlioService::start() {
   qos.weight = std::max<std::uint32_t>(config_.lane_weight, 1);
   qos.rate_per_sec = config_.lane_rate;
   dc.default_lane_qos = qos;
-  daemon_ = std::make_unique<Daemon>(dc, std::move(readers), std::move(sinks), &timestamps_);
+  daemon_ = std::make_unique<Daemon>(dc, std::move(readers), std::move(sinks));
 
   ReceiverConfig rc;
   rc.num_senders = 1;
@@ -140,18 +138,7 @@ void EmlioService::start() {
   rc.trace_ring = config_.trace_ring;
   rc.reconnect.max_attempts = config_.retry_max;
   rc.reconnect.deadline = std::chrono::milliseconds(config_.retry_deadline_ms);
-  if (config_.adaptive_pool && rc.decode_threads == 0) {
-    // adaptive_pool asks for governed engines; the serial receiver has no
-    // pool to govern, so start the pooled engine at the governor's floor
-    // (the same fallback emlio_receive applies) instead of silently
-    // ignoring the knob.
-    rc.decode_threads = std::max<std::size_t>(config_.adaptive_min_threads, 1);
-  }
-  if (config_.adaptive_pool && !config_.pipelined) {
-    log::warn("emlio service: serial daemon engine has no encode pool; "
-              "--adaptive-pool governs only the receiver decode pool");
-  }
-  receiver_ = std::make_unique<Receiver>(rc, std::move(source), &timestamps_);
+  receiver_ = std::make_unique<Receiver>(rc, std::move(source));
 
   daemon_thread_ = std::thread([this, sink] {
     // The daemon reports failures through its error state; anything that

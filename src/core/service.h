@@ -11,7 +11,6 @@
 #include <string>
 #include <thread>
 
-#include "common/timestamp_logger.h"
 #include "core/daemon.h"
 #include "core/planner.h"
 #include "core/receiver.h"
@@ -31,29 +30,23 @@ struct ServiceConfig {
   std::string dataset_dir;            ///< TFRecord shards + mapping JSONs
   std::size_t batch_size = 32;        ///< B
   std::uint32_t epochs = 1;           ///< E
-  std::uint32_t threads_per_node = 2; ///< T — daemon SendWorker threads
   std::size_t high_water_mark = 16;   ///< ZMQ-style HWM
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
   std::size_t receiver_queue = 16;    ///< shared in-memory queue depth
   /// Daemon pipeline: read+encode pool size (0 = auto) and per-sink
-  /// prefetch-queue depth (0 = follow high_water_mark). pipelined=false
-  /// falls back to the legacy serial per-worker loop (A/B benching).
+  /// prefetch-queue depth (0 = follow high_water_mark).
   std::size_t pipeline_pool_threads = 0;
   std::size_t prefetch_depth = 0;
-  bool pipelined = true;
-  /// Receiver decode fan-out width (ReceiverConfig::decode_threads).
-  /// 0 = the legacy serial receive-decode thread; N > 0 = pooled decode
-  /// workers with re-sequenced (delivery-order-identical) output.
-  std::size_t decode_threads = 0;
+  /// Receiver decode pool width (ReceiverConfig::decode_threads; 0 = auto).
+  /// Output is re-sequenced, so delivery order is the same at every width.
+  std::size_t decode_threads = 1;
   /// Shared stall-ratio pool governor, one instance per staged engine: the
   /// daemon's encode pool grows when sender_stalls dominates (and shrinks on
   /// enqueue_stalls), the receiver's decode pool grows when decode_stalls
   /// dominates (and shrinks on resequence_stalls). Bounds and control
   /// interval are shared by both governors; 0 max = auto (hardware
-  /// concurrency, clamped to [2, 8]). With decode_threads == 0 the receiver
-  /// is started at adaptive_min_threads so the governor has a pool to steer
-  /// (a serial daemon engine, pipelined == false, stays ungoverned — warned
-  /// at start()).
+  /// concurrency, clamped to [2, 8]). Each pool starts at its configured
+  /// width.
   bool adaptive_pool = false;
   std::size_t adaptive_min_threads = 1;
   std::size_t adaptive_max_threads = 0;
@@ -139,7 +132,6 @@ class EmlioService {
   const Planner& planner() const { return *planner_; }
   std::uint64_t dataset_samples() const { return planner_->dataset_size(); }
   ServiceStats stats() const;
-  TimestampLogger& timestamps() { return timestamps_; }
   /// Slow-batch forensics (ServiceConfig::trace): each engine's trace_json.
   /// Null JSON before start().
   json::Value daemon_trace_json() const;
@@ -147,7 +139,6 @@ class EmlioService {
 
  private:
   ServiceConfig config_;
-  TimestampLogger timestamps_;
   std::unique_ptr<Planner> planner_;
   std::vector<tfrecord::ShardIndex> indexes_;
 

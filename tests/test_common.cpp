@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "common/timestamp_logger.h"
 
 namespace emlio {
 namespace {
@@ -474,50 +473,6 @@ TEST(Clock, StopwatchMeasuresManualTime) {
   EXPECT_DOUBLE_EQ(sw.elapsed_seconds(), 2.0);
   sw.reset();
   EXPECT_EQ(sw.elapsed(), 0);
-}
-
-// ------------------------------------------------------- timestamp logger
-
-TEST(TimestampLogger, RecordsInOrderWithClock) {
-  ManualClock c;
-  TimestampLogger log(c);
-  log.record("epoch_start", 0);
-  c.advance(from_seconds(5));
-  log.record("batch_send", 1);
-  c.advance(from_seconds(5));
-  log.record("epoch_end", 0);
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.span("epoch_start", "epoch_end"), from_seconds(10));
-}
-
-TEST(TimestampLogger, SpanMissingLabelsIsZero) {
-  ManualClock c;
-  TimestampLogger log(c);
-  log.record("a");
-  EXPECT_EQ(log.span("a", "b"), 0);
-  EXPECT_EQ(log.span("x", "a"), 0);
-}
-
-TEST(TimestampLogger, FilterByLabel) {
-  ManualClock c;
-  TimestampLogger log(c);
-  log.record("batch_send", 1);
-  log.record("batch_recv", 1);
-  log.record("batch_send", 2);
-  EXPECT_EQ(log.events_with_label("batch_send").size(), 2u);
-  EXPECT_EQ(log.events_with_label("batch_recv").size(), 1u);
-}
-
-TEST(TimestampLogger, ThreadSafeConcurrentRecords) {
-  TimestampLogger log(SteadyClock::instance());
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 250; ++i) log.record("event", i);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(log.size(), 1000u);
 }
 
 }  // namespace

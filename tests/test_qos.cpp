@@ -19,6 +19,7 @@
 #include "core/receiver.h"
 #include "core/service.h"
 #include "core/stats_stream.h"
+#include "msgpack/batch_codec.h"
 #include "net/sim_channel.h"
 #include "workload/materialize.h"
 
@@ -342,16 +343,34 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
   receiver.close();
 }
 
-TEST_F(QosTest, SingleSourceSerialReceiverHasNoLaneStage) {
+TEST_F(QosTest, SingleSourceReceiverHasOneLane) {
+  // Every receiver runs source lanes, a single-source one included: its one
+  // "src0" lane carries every wire payload — data batches and the sentinel.
   auto ch = net::make_sim_channel({});
   auto sink = std::shared_ptr<net::MessageSink>(std::move(ch.sink));
   ReceiverConfig rc;
   rc.num_senders = 1;
   Receiver receiver(rc, std::move(ch.source));
+  constexpr std::uint64_t kBatches = 3;
+  for (std::uint64_t i = 0; i < kBatches; ++i) {
+    msgpack::WireBatch b;
+    b.batch_id = i;
+    b.samples.resize(1);
+    b.samples[0].index = i;
+    b.samples[0].bytes = PayloadView{1, 2, 3};
+    ASSERT_TRUE(sink->send(msgpack::BatchCodec::encode(b)));
+  }
+  ASSERT_TRUE(sink->send(
+      msgpack::BatchCodec::encode(msgpack::BatchCodec::make_sentinel(0, 0, kBatches))));
   sink->close();
   while (receiver.next()) {
   }
-  EXPECT_TRUE(receiver.stats().lanes.empty());
+  auto stats = receiver.stats();
+  EXPECT_EQ(stats.batches_received, kBatches);
+  ASSERT_EQ(stats.lanes.size(), 1u);
+  EXPECT_EQ(stats.lanes[0].name, "src0");
+  EXPECT_EQ(stats.lanes[0].delivered_items, stats.batches_received + 1);  // + the sentinel
+  EXPECT_TRUE(stats.lanes[0].closed);
   receiver.close();
 }
 
@@ -361,8 +380,8 @@ TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
   // Same plan, same seed, radically different QoS splits: each node's
   // decoded stream must be byte-for-byte identical across configurations —
   // weights shift WHEN a lane is served, never WHAT it carries or in what
-  // order. (The per-sink resequencer pins batch-id order; serial receivers
-  // keep decode deterministic.)
+  // order. (The per-sink resequencer pins batch-id order; the receivers'
+  // sequencer keeps delivery in arrival order.)
   auto capture = [&](LaneQos q0, LaneQos q1) {
     auto indexes = tfrecord::load_all_indexes(dir_.string());
     PlannerConfig pc;
@@ -459,9 +478,9 @@ TEST_F(QosTest, ServiceThreadsQosToBothEngines) {
   ASSERT_EQ(stats.daemon.lanes.size(), 1u);
   EXPECT_EQ(stats.daemon.lanes[0].lane_class, LaneClass::kBulk);
   EXPECT_EQ(stats.daemon.lanes[0].weight, 5u);
-  // Single-source receiver runs the serial engine only when decode_threads
-  // == 0 AND there is one source; the service default is serial, so the
-  // receiver side has no lane stage here — the daemon side carries the QoS.
+  ASSERT_EQ(stats.receiver.lanes.size(), 1u);
+  EXPECT_EQ(stats.receiver.lanes[0].lane_class, LaneClass::kBulk);
+  EXPECT_EQ(stats.receiver.lanes[0].weight, 5u);
 }
 
 // ------------------------------------------------------------- StatsStreamer

@@ -1,15 +1,13 @@
 // Tests for the per-batch stage tracing subsystem (src/obs): histogram
 // bucket math and quantiles, the BatchTrace exact-sum invariant, the
-// slow-batch TraceRing, the optional "t0" wire key, the bounded
-// TimestampLogger, and an end-to-end traced service run.
+// slow-batch TraceRing, the optional "t0" wire key, and an end-to-end
+// traced service run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
-#include "common/timestamp_logger.h"
 #include "core/service.h"
 #include "msgpack/batch_codec.h"
 #include "obs/latency_histogram.h"
@@ -341,51 +339,6 @@ TEST(TraceWire, OriginStampRoundTrips) {
   plain.trace_origin_ns = 0;
   EXPECT_LT(msgpack::BatchCodec::encode(plain).size(),
             msgpack::BatchCodec::encode(b).size());
-}
-
-// ------------------------------------------------- bounded TimestampLogger
-
-TEST(TimestampLoggerBounded, CapacityEvictsOldest) {
-  ManualClock clock;
-  TimestampLogger logger(clock, 3);
-  for (int i = 0; i < 5; ++i) {
-    clock.advance(10);
-    logger.record("ev", i);
-  }
-  EXPECT_EQ(logger.size(), 3u);
-  EXPECT_EQ(logger.dropped_events(), 2u);
-  auto events = logger.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events.front().detail, 2);  // 0 and 1 evicted
-  EXPECT_EQ(events.back().detail, 4);
-}
-
-TEST(TimestampLoggerBounded, UnboundedByDefault) {
-  ManualClock clock;
-  TimestampLogger logger(clock);
-  for (int i = 0; i < 100; ++i) logger.record("ev", i);
-  EXPECT_EQ(logger.size(), 100u);
-  EXPECT_EQ(logger.dropped_events(), 0u);
-}
-
-TEST(TimestampLoggerBounded, SpanHistogramPairsByDetail) {
-  ManualClock clock;
-  TimestampLogger logger(clock);
-  // batch 1: 100ns, batch 2: 300ns, batch 3 never completes.
-  logger.record("send", 1);
-  clock.advance(100);
-  logger.record("recv", 1);
-  logger.record("send", 2);
-  logger.record("send", 3);
-  clock.advance(300);
-  logger.record("recv", 2);
-  auto snap = logger.span_histogram("send", "recv");
-  EXPECT_EQ(snap.count, 2u);
-  EXPECT_EQ(snap.min, 100u);
-  EXPECT_EQ(snap.max, 300u);
-  EXPECT_EQ(snap.quantile(1.0), 300.0);
-  // Unmatched end events are skipped, not mispaired.
-  EXPECT_EQ(logger.span_histogram("recv", "send").count, 0u);
 }
 
 // ------------------------------------------------------- service e2e

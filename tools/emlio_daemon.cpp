@@ -7,8 +7,8 @@
 //   emlio_receive --port 5555 &            # start the compute side first
 //   emlio_daemon --data DIR --connect localhost:5555
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-slab-mb 4]
-//       [--batch 128] [--epochs 1] [--threads 2] [--streams 2] [--hwm 16]
-//       [--pool 0] [--prefetch 16] [--serial] [--seed 1234]
+//       [--batch 128] [--epochs 1] [--streams 2] [--hwm 16]
+//       [--pool 0] [--prefetch 16] [--seed 1234]
 //       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
 //       [--lane-class interactive|bulk] [--lane-weight 1] [--lane-rate 0]
 //       [--cache-mb 0] [--cache-policy clock|lru]
@@ -32,8 +32,7 @@
 // budget).
 //
 // --pool sizes the shared read+encode thread pool (0 = auto), --prefetch the
-// per-sink encoded-batch queue (the HWM of the storage-side pipeline);
-// --serial falls back to the legacy one-thread-per-worker loop for A/B runs.
+// per-sink encoded-batch queue (the HWM of the storage-side pipeline).
 // --adaptive-pool hands the pool's sizing to the stall-ratio governor: it
 // grows the pool when sender stalls dominate (the wire waits on encode) and
 // shrinks it when enqueue stalls do, within [--adaptive-min, --adaptive-max]
@@ -77,12 +76,12 @@ int main(int argc, char** argv) {
   std::string transport = "tcp", shm_name = "emlio0";
   std::size_t shm_slab_mb = 4;
   std::string cache_policy = "clock", stats_json;
-  std::size_t batch = 128, threads = 2, streams = 2, hwm = 16;
+  std::size_t batch = 128, streams = 2, hwm = 16;
   std::size_t pool = 0, prefetch = 16, cache_mb = 0;
   std::size_t adaptive_min = 1, adaptive_max = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
-  bool serial = false, adaptive = false;
+  bool adaptive = false;
   std::uint32_t epochs = 1;
   std::uint64_t seed = 1234;
   std::string lane_class = "interactive";
@@ -104,12 +103,10 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--shm-slab-mb")) shm_slab_mb = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--batch")) batch = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--epochs")) epochs = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--threads")) threads = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--streams")) streams = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--hwm")) hwm = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--pool")) pool = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--prefetch")) prefetch = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--serial")) serial = true;
     else if (!std::strcmp(argv[i], "--adaptive-pool")) adaptive = true;
     else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
@@ -130,8 +127,8 @@ int main(int argc, char** argv) {
     else {
       std::fprintf(stderr, "usage: emlio_daemon --data DIR --connect HOST:PORT "
                            "[--transport tcp|shm] [--shm-name NAME] [--shm-slab-mb MB] "
-                           "[--batch B] [--epochs E] [--threads T] [--streams S] [--hwm H] "
-                           "[--pool N] [--prefetch D] [--serial] [--seed N] "
+                           "[--batch B] [--epochs E] [--streams S] [--hwm H] "
+                           "[--pool N] [--prefetch D] [--seed N] "
                            "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
                            "[--lane-class interactive|bulk] [--lane-weight W] [--lane-rate N] "
                            "[--cache-mb MB] [--cache-policy clock|lru] "
@@ -157,12 +154,6 @@ int main(int argc, char** argv) {
   if (data.empty()) {
     std::fprintf(stderr, "emlio_daemon: --data is required\n");
     return 2;
-  }
-  if (serial && adaptive) {
-    // The serial engine has no pool to govern; say so instead of printing a
-    // forever-zero governor line that reads like a broken controller.
-    std::fprintf(stderr, "emlio_daemon: --serial has no encode pool; ignoring --adaptive-pool\n");
-    adaptive = false;
   }
   if (adaptive_min == 0) adaptive_min = 1;  // same clamp the library applies
   const bool use_shm = transport == "shm";
@@ -192,12 +183,11 @@ int main(int argc, char** argv) {
     core::PlannerConfig pc;
     pc.batch_size = batch;
     pc.epochs = epochs;
-    pc.threads_per_node = static_cast<std::uint32_t>(threads);
     pc.seed = seed;
     core::Planner planner(indexes, pc);
-    std::printf("emlio_daemon: %zu shards, %llu samples, B=%zu E=%u T=%zu -> %s\n",
+    std::printf("emlio_daemon: %zu shards, %llu samples, B=%zu E=%u -> %s\n",
                 indexes.size(), static_cast<unsigned long long>(planner.dataset_size()), batch,
-                epochs, threads, use_shm ? ("shm:" + shm_name).c_str() : connect_to.c_str());
+                epochs, use_shm ? ("shm:" + shm_name).c_str() : connect_to.c_str());
 
     std::shared_ptr<net::MessageSink> sink;
     if (use_shm) {
@@ -221,7 +211,6 @@ int main(int argc, char** argv) {
     std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink}};
     core::DaemonConfig dc;
     dc.daemon_id = "daemon0";
-    dc.pipelined = !serial;
     dc.pool_threads = pool;
     dc.prefetch_depth = prefetch;
     dc.adaptive_pool = adaptive;

@@ -4,7 +4,7 @@
 //
 //   emlio_receive --port 5555 [--senders 1] [--epochs 1] [--expected N]
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-wait-ms 10000]
-//       [--decode-threads N] [--serial]
+//       [--decode-threads 1]
 //       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
 //       [--lane-class interactive|bulk] [--lane-weight 1] [--lane-rate 0]
 //       [--retry-max 1] [--retry-deadline 0]
@@ -28,13 +28,11 @@
 // attach-waits up to --shm-wait-ms, so it may be started before the daemon.
 // shm carries exactly one sender — --senders and --port are then unused.
 //
-// --decode-threads sizes the receiver's decode pool (0 = the legacy serial
-// receive-decode thread); --serial forces the serial engine regardless of
-// --decode-threads (A/B runs, mirroring emlio_daemon --serial).
-// --adaptive-pool hands the decode pool's sizing to the stall-ratio governor
-// (grow on decode stalls, shrink on resequence stalls, within
-// [--adaptive-min, --adaptive-max], 0 max = auto); --decode-threads then only
-// sets the starting width and must be > 0.
+// --decode-threads sizes the receiver's decode pool (0 = auto, like
+// emlio_daemon --pool). --adaptive-pool hands the decode pool's sizing to
+// the stall-ratio governor (grow on decode stalls, shrink on resequence
+// stalls, within [--adaptive-min, --adaptive-max], 0 max = auto);
+// --decode-threads then only sets the starting width.
 // --lane-class/--lane-weight/--lane-rate set the QoS descriptor applied to
 // every source ingest lane (the weighted-fair dispatcher drains source lanes
 // DWRR; rate is an items/sec cap at the dispatch edge). --stats-json dumps
@@ -73,11 +71,11 @@ int main(int argc, char** argv) {
   std::size_t senders = 1;
   std::uint32_t epochs = 1;
   std::uint64_t expected = 0;
-  std::size_t decode_threads = 0;
+  std::size_t decode_threads = 1;
   std::size_t adaptive_min = 1, adaptive_max = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
-  bool serial = false, adaptive = false;
+  bool adaptive = false;
   std::string stats_json;
   std::string lane_class = "interactive";
   std::size_t lane_weight = 1;
@@ -99,7 +97,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--epochs")) epochs = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--expected")) expected = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--decode-threads")) decode_threads = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--serial")) serial = true;
     else if (!std::strcmp(argv[i], "--adaptive-pool")) adaptive = true;
     else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
@@ -117,7 +114,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: emlio_receive --port P [--senders N] [--epochs E] [--expected N] "
                    "[--transport tcp|shm] [--shm-name NAME] [--shm-wait-ms MS] "
-                   "[--decode-threads N] [--serial] "
+                   "[--decode-threads N] "
                    "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
                    "[--lane-class interactive|bulk] [--lane-weight W] [--lane-rate N] "
                    "[--retry-max N] [--retry-deadline MS] "
@@ -134,12 +131,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
-  if (serial) {
-    decode_threads = 0;
-    adaptive = false;  // the serial engine has no pool to govern
-  }
   if (adaptive_min == 0) adaptive_min = 1;  // same clamp the library applies
-  if (adaptive && decode_threads == 0) decode_threads = adaptive_min;
+  const std::string decode_width = decode_threads ? std::to_string(decode_threads) : "auto";
 
   const bool use_shm = transport == "shm";
   if (!use_shm && transport != "tcp") {
@@ -165,10 +158,8 @@ int main(int argc, char** argv) {
       // matter (the shm analogue of TCP's receiver-first convention).
       auto inner = net::ShmMessageSource::attach_wait(shm_name,
                                                       std::chrono::milliseconds(shm_wait_ms));
-      std::printf("emlio_receive: attached to shm segment %s (%u epoch(s), decode %s)\n",
-                  shm_name.c_str(), epochs,
-                  decode_threads ? (std::to_string(decode_threads) + " pooled threads").c_str()
-                                 : "serial");
+      std::printf("emlio_receive: attached to shm segment %s (%u epoch(s), decode pool %s)\n",
+                  shm_name.c_str(), epochs, decode_width.c_str());
       if (reconnect_window) {
         // Survive a daemon crash: when the pid probe declares the creator
         // dead, mark the sender dead (in-flight epochs repair) and re-attach
@@ -198,10 +189,8 @@ int main(int argc, char** argv) {
     } else {
       pull = std::make_unique<net::PullSocket>(port, /*queue_capacity=*/64);
       std::printf("emlio_receive: listening on 127.0.0.1:%u (%zu sender(s), %u epoch(s), "
-                  "decode %s)\n",
-                  pull->port(), senders, epochs,
-                  decode_threads ? (std::to_string(decode_threads) + " pooled threads").c_str()
-                                 : "serial");
+                  "decode pool %s)\n",
+                  pull->port(), senders, epochs, decode_width.c_str());
       // Surface connection churn: the PULL socket keeps accepting forever (a
       // restarted daemon just reconnects), so the "reconnect window" here is
       // only observability plus the dead-peer mark PullSocket raises on
