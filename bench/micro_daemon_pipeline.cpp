@@ -12,7 +12,9 @@
 // Appends one JSON row per width to emlio_bench_results.jsonl and prints
 // the speedup; the auto-width pool must win on any host with more than two
 // cores because encode work fans out across the pool while both senders
-// keep the links saturated.
+// keep the links saturated. On ≤2 cores the auto width is the baseline
+// width, so only the baseline epoch runs (its sample-count check still
+// applies) and the A/B row is recorded as skipped.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -130,24 +132,6 @@ int main() {
   const std::size_t pool = auto_pool_width();
   const unsigned cores = std::thread::hardware_concurrency();
 
-  // Tie-by-construction guard: on ≤2 cores the auto width IS the baseline
-  // width — the same pool doing the same CPU work at the same wire pacing,
-  // so the A/B is meaningless. Skip explicitly (and record the skip) instead
-  // of publishing a ~1.0x "speedup" that reads like a pipeline regression.
-  if (pool <= kBaseline) {
-    std::printf("micro_daemon_pipeline: SKIP — %u hardware thread(s); the auto pool width "
-                "equals the %zu-thread baseline. Run on a >=3-core host for a meaningful "
-                "A/B.\n",
-                cores, kBaseline);
-    json::Object row;
-    row["bench"] = "micro_daemon_pipeline";
-    row["skipped"] = true;
-    row["reason"] = "auto pool width equals the baseline width";
-    row["cores"] = static_cast<std::int64_t>(cores);
-    bench::append_json_line(json::Value(std::move(row)));
-    return 0;
-  }
-
   auto dir = fs::temp_directory_path() / "emlio_micro_daemon_pipeline";
   fs::remove_all(dir);
 
@@ -171,11 +155,30 @@ int main() {
   // engine, not cold-file I/O luck).
   for (const auto& idx : indexes) tfrecord::ShardReader(idx).verify_all();
 
+  // The baseline epoch always runs, so its sample-count check gates every
+  // host.
   auto base = run_epoch(indexes, planner, spec, kBaseline, /*prefetch_depth=*/16);
-  auto wide = run_epoch(indexes, planner, spec, pool, /*prefetch_depth=*/16);
-
-  double speedup = base.seconds / wide.seconds;
   std::printf("  pool=%zu    : %.3f s\n", kBaseline, base.seconds);
+
+  // Tie-by-construction guard: on ≤2 cores the auto width IS the baseline
+  // width — the same pool doing the same CPU work at the same wire pacing,
+  // so the A/B is meaningless. Skip the comparison explicitly (and record
+  // the skip) instead of publishing a ~1.0x "speedup" that reads like a
+  // pipeline regression.
+  if (pool <= kBaseline) {
+    std::printf("micro_daemon_pipeline: SKIP A/B — %u hardware thread(s); the auto pool "
+                "width equals the %zu-thread baseline. Run on a >=3-core host for a "
+                "meaningful A/B.\n",
+                cores, kBaseline);
+    json::Value row = row_for(kBaseline, base, 1.0);
+    row.as_object()["ab_skipped"] = true;
+    bench::append_json_line(std::move(row));
+    fs::remove_all(dir);
+    return 0;
+  }
+
+  auto wide = run_epoch(indexes, planner, spec, pool, /*prefetch_depth=*/16);
+  double speedup = base.seconds / wide.seconds;
   std::printf("  pool=%zu    : %.3f s  (auto width, prefetch=16)  speedup %.2fx\n", pool,
               wide.seconds, speedup);
   std::printf("  pool=%zu balance: %llu enqueue stalls / %llu sender stalls, peak depth %llu\n",

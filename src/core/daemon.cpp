@@ -504,9 +504,9 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
   }
 }
 
-bool Daemon::pipelined_epoch(const EpochPlan& plan,
-                             std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
-                             NodeCounters& counters) {
+bool Daemon::run_lanes(std::uint32_t epoch,
+                       std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
+                       NodeCounters& counters) {
   const std::size_t depth = std::max<std::size_t>(1, config_.prefetch_depth);
 
   // One lane per destination node with locally-owned batches (already in
@@ -578,7 +578,7 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
     senders.reserve(lanes.size());
     for (auto& lane : lanes) {
       senders.emplace_back(
-          [this, lane = lane.get(), epoch = plan.epoch] { sender_loop(*lane, epoch); });
+          [this, lane = lane.get(), epoch] { sender_loop(*lane, epoch); });
     }
     // Prime the pipeline: DWRR hands out the first budget's worth of encode
     // jobs; every completion and every queued batch re-admits through the
@@ -627,7 +627,7 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
   NodeCounters counters;
   for (const auto& [node_id, sink] : sinks_) counters[node_id];
 
-  bool clean = pipelined_epoch(plan, local, counters);
+  bool clean = run_lanes(plan.epoch, local, counters);
 
   // End-of-epoch sentinel to every destination node this daemon serves
   // (best-effort on a failed lane: a closed sink rejects it harmlessly).

@@ -158,8 +158,8 @@ class Daemon {
          std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks);
 
   /// Serve one epoch of `plan` (blocking). Validates that every plan node
-  /// with locally-owned batches has a sink, then runs the pipelined engine
-  /// and finishes with one end-of-epoch sentinel per destination node.
+  /// with locally-owned batches has a sink, then streams them through the
+  /// per-node lanes and finishes with one end-of-epoch sentinel per destination node.
   /// Returns false — with ok()/last_error() set — on validation failure
   /// (nothing is launched) or when any worker failed mid-epoch; it never
   /// throws out of a worker thread.
@@ -205,9 +205,11 @@ class Daemon {
 
   bool validate_plan(std::uint32_t epoch,
                      const std::map<std::uint32_t, std::vector<BatchAssignment>>& local);
-  bool pipelined_epoch(const EpochPlan& plan,
-                       std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
-                       NodeCounters& counters);
+  /// Streams one epoch's locally-owned batches through the per-node lanes;
+  /// false if any lane failed.
+  bool run_lanes(std::uint32_t epoch,
+                 std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
+                 NodeCounters& counters);
   void encode_job(SinkLane& lane, std::size_t seq);
   void pump(SinkLane& lane);
   void admit_more();

@@ -658,6 +658,10 @@ TEST(ReceiverParallelDecode, CloseWithUnconsumedDecodesCountsDrops) {
   } while (std::chrono::steady_clock::now() < deadline);
   EXPECT_EQ(drained + stats.dropped_on_close, kBatches);
   EXPECT_GE(stats.dropped_on_close, 1u);
+  // Payloads refused at close count as drops without being received, so
+  // received batches sit between what was drained and what was pulled.
+  EXPECT_GE(stats.batches_received, drained);
+  EXPECT_LE(stats.batches_received, kBatches);
 }
 
 /// Source that yields `count` data payloads, then BLOCKS until closed —
@@ -874,6 +878,51 @@ TEST_F(CoreIntegrationTest, MissingSinkSurfacesErrorStateInsteadOfCrashing) {
   EXPECT_EQ(daemon.stats().batches_sent, 0u);
 }
 
+TEST_F(CoreIntegrationTest, WireStreamIndependentOfPlannerWorkerSplit) {
+  // The planner splits each node's batches across threads_per_node
+  // WorkerPlans; the daemon flattens them into one batch-id-ordered lane per
+  // node. So the wire stream — every payload, byte for byte, in order — must
+  // not depend on the split.
+  auto indexes = tfrecord::load_all_indexes(dir_.string());
+  auto capture = [&](std::uint32_t threads_per_node) {
+    PlannerConfig pc;
+    pc.batch_size = 4;
+    pc.epochs = 2;
+    pc.threads_per_node = threads_per_node;
+    Planner planner(indexes, pc);
+    net::SimLinkConfig link;
+    link.high_water_mark = 1024;  // the whole run fits in flight: no consumer needed
+    std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks;
+    std::vector<std::unique_ptr<net::MessageSource>> sources;
+    for (std::uint32_t n = 0; n < 2; ++n) {
+      auto ch = net::make_sim_channel(link);
+      sinks[n] = std::shared_ptr<net::MessageSink>(std::move(ch.sink));
+      sources.push_back(std::move(ch.source));
+    }
+    std::vector<tfrecord::ShardReader> readers;
+    for (const auto& idx : indexes) readers.emplace_back(idx);
+    DaemonConfig dc;
+    dc.pool_threads = 3;
+    Daemon daemon(dc, std::move(readers), sinks);
+    EXPECT_TRUE(daemon.serve(planner, /*num_nodes=*/2));
+    std::vector<std::vector<std::vector<std::uint8_t>>> streams(2);
+    for (std::uint32_t n = 0; n < 2; ++n) {
+      sinks[n]->close();
+      while (auto payload = sources[n]->recv()) streams[n].push_back(payload->to_vector());
+    }
+    return streams;
+  };
+  const auto reference = capture(1);
+  ASSERT_EQ(reference[0].size() + reference[1].size(), 12u * 2 + 2u * 2)  // data + sentinels
+      << "48 samples / B=4 per epoch, 2 epochs, 2 nodes";
+  for (std::uint32_t t : {2u, 3u}) {
+    const auto streams = capture(t);
+    for (std::size_t n = 0; n < 2; ++n) {
+      EXPECT_EQ(streams[n], reference[n]) << "threads_per_node=" << t << " node " << n;
+    }
+  }
+}
+
 TEST_F(CoreIntegrationTest, BackpressuredSinkDoesNotStarveOtherLanes) {
   // Per-sink isolation: one clogged destination (tiny link HWM, consumer
   // parked) must not park the shared encode pool — the other node's data
@@ -958,6 +1007,7 @@ class MultiDaemonMultiReceiver : public CoreIntegrationTest {
     PlannerConfig pc;
     pc.batch_size = 8;
     pc.epochs = epochs;
+    pc.threads_per_node = 2;  // two WorkerPlans per node feed each lane
     pc.full_dataset_per_node = full_dataset;
     Planner planner(indexes, pc);
 
