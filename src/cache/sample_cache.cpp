@@ -6,16 +6,6 @@
 
 namespace emlio::cache {
 
-std::optional<CachePolicy> parse_policy(std::string_view name) {
-  if (name == "clock") return CachePolicy::kClock;
-  if (name == "lru") return CachePolicy::kLru;
-  return std::nullopt;
-}
-
-const char* policy_name(CachePolicy policy) {
-  return policy == CachePolicy::kClock ? "clock" : "lru";
-}
-
 SampleCache::SampleCache(SampleCacheConfig config) : config_(config) {
   std::size_t n = std::max<std::size_t>(1, config_.shards);
   // Small budgets collapse to fewer shards: each shard's budget slice must
@@ -69,12 +59,7 @@ std::optional<PayloadView> SampleCache::find(const SampleKey& key) {
   }
   ++shard.hits;
   auto entry_it = it->second;
-  if (config_.policy == CachePolicy::kLru) {
-    // Splice to the MRU head (iterators stay valid, map untouched).
-    shard.entries.splice(shard.entries.begin(), shard.entries, entry_it);
-  } else {
-    entry_it->referenced = true;  // CLOCK: second chance, no reordering
-  }
+  entry_it->referenced = true;  // second chance, no reordering
   return PayloadView(entry_it->payload);
 }
 
@@ -86,7 +71,7 @@ void SampleCache::evict_entry(Shard& shard, std::list<Entry>::iterator it) {
   // storage alive via the shared_ptr refcount regardless; eviction is always
   // memory-safe, the pin check just keeps the byte budget honest.
   std::size_t n = it->payload.size();
-  if (config_.policy == CachePolicy::kClock && shard.hand == it) ++shard.hand;
+  if (shard.hand == it) ++shard.hand;
   shard.map.erase(it->key);
   shard.entries.erase(it);
   shard.bytes -= n;
@@ -95,26 +80,11 @@ void SampleCache::evict_entry(Shard& shard, std::list<Entry>::iterator it) {
 }
 
 bool SampleCache::make_room(Shard& shard, std::size_t need) {
-  if (config_.policy == CachePolicy::kLru) {
-    // Walk tail (LRU) to head, evicting cold unpinned entries. Pinned
-    // entries are skipped in place: they are few (bounded by the daemon's
-    // in-flight encode/send window) and become evictable as lanes drain.
-    auto it = shard.entries.end();
-    while (shard.bytes + need > shard_budget_ && it != shard.entries.begin()) {
-      --it;
-      if (it->payload.use_count() > 1) {
-        ++shard.pinned_skips;
-        continue;
-      }
-      auto victim = it++;  // step off the victim before erasing it
-      evict_entry(shard, victim);
-    }
-    return shard.bytes + need <= shard_budget_;
-  }
-
-  // CLOCK: advance the hand; referenced entries get a second chance, pinned
-  // entries are skipped. Two full sweeps clear every reference bit, so if
-  // the budget is still blown after ~2N steps every survivor is pinned.
+  // Advance the hand; referenced entries get a second chance, pinned
+  // entries are skipped (they are few, bounded by the daemon's in-flight
+  // encode/send window, and become evictable as lanes drain). Two full
+  // sweeps clear every reference bit, so if the budget is still blown after
+  // ~2N steps every survivor is pinned.
   std::size_t steps = 2 * shard.entries.size() + 1;
   while (shard.bytes + need > shard_budget_ && steps-- > 0 && !shard.entries.empty()) {
     if (shard.hand == shard.entries.end()) shard.hand = shard.entries.begin();

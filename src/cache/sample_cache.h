@@ -26,12 +26,9 @@
 //     (LevelDB-cache style), so the daemon's encode pool threads do not
 //     serialize on one mutex.
 //
-// Two eviction policies, selectable at construction:
-//   * CLOCK (default) — second-chance ring: a hit sets a reference bit
-//     (no list splice, cheapest under concurrency); the eviction hand
-//     clears bits until it finds a cold, unpinned victim.
-//   * LRU — strict recency list: a hit splices the entry to the MRU head;
-//     eviction walks from the LRU tail, skipping pinned entries.
+// Eviction is CLOCK (second chance): a hit sets a reference bit (no list
+// splice, cheap under concurrency); the eviction hand clears bits until it
+// finds a cold, unpinned victim.
 #pragma once
 
 #include <atomic>
@@ -41,8 +38,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -51,15 +46,6 @@
 #include "common/thread_annotations.h"
 
 namespace emlio::cache {
-
-enum class CachePolicy {
-  kClock,  ///< second-chance ring (default)
-  kLru,    ///< strict recency order
-};
-
-/// Parse "clock" / "lru" (case-sensitive). nullopt on anything else.
-std::optional<CachePolicy> parse_policy(std::string_view name);
-const char* policy_name(CachePolicy policy);
 
 /// Cache key: one sample of one dataset. The daemon keys by
 /// (shard_id, dataset-global sample index) — unique across everything a
@@ -88,7 +74,6 @@ struct SampleCacheConfig {
   /// overhead is not charged). Must be > 0 — a zero-budget cache is
   /// expressed by not constructing one (DaemonConfig::cache_bytes == 0).
   std::size_t capacity_bytes = 64u << 20;
-  CachePolicy policy = CachePolicy::kClock;
   /// Lock shards. The budget is split evenly across them; the constructor
   /// collapses to fewer shards when the budget is small, so every shard's
   /// slice can hold real entries. Clamped to >= 1.
@@ -138,7 +123,6 @@ class SampleCache {
 
   SampleCacheStats stats() const;
   std::size_t capacity_bytes() const noexcept { return config_.capacity_bytes; }
-  CachePolicy policy() const noexcept { return config_.policy; }
 
   /// Drop every unpinned entry (tests; pinned entries stay resident and
   /// tracked so the budget remains honest).
@@ -148,12 +132,12 @@ class SampleCache {
   struct Entry {
     SampleKey key;
     Payload payload;   ///< the cache's owning handle; use_count()>1 == pinned
-    bool referenced = false;  ///< CLOCK second-chance bit
+    bool referenced = false;  ///< second-chance bit
   };
 
   struct Shard {
     mutable Mutex mu;
-    /// LRU: front = MRU, back = LRU. CLOCK: insertion ring walked by `hand`.
+    /// Insertion ring walked by the CLOCK `hand`.
     std::list<Entry> entries EMLIO_GUARDED_BY(mu);
     std::unordered_map<SampleKey, std::list<Entry>::iterator, SampleKeyHash> map
         EMLIO_GUARDED_BY(mu);

@@ -8,7 +8,7 @@
 // per-lane accounting (delivered items/bytes, enqueue/dequeue stalls) and a
 // QoS descriptor:
 //
-//   LaneQos { class: interactive | bulk, weight, optional rate limit }
+//   LaneQos { weight, optional rate limit }
 //
 // On top sit two arbitration pieces:
 //
@@ -49,7 +49,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,30 +57,10 @@
 
 namespace emlio {
 
-/// Tenant class of a lane. Classes are coarse labels over the weight space:
-/// interactive traffic is expected to carry high weights (and often rate
-/// limits on its bulk neighbours), bulk traffic low ones. The scheduler only
-/// consumes the weight; the class rides along for operators and stats.
-enum class LaneClass : std::uint8_t {
-  kInteractive,  ///< latency-sensitive (eval loops, interactive consumers)
-  kBulk,         ///< throughput traffic (training epochs, backfills)
-};
-
-inline const char* to_string(LaneClass c) {
-  return c == LaneClass::kBulk ? "bulk" : "interactive";
-}
-
-inline std::optional<LaneClass> parse_lane_class(std::string_view s) {
-  if (s == "interactive") return LaneClass::kInteractive;
-  if (s == "bulk") return LaneClass::kBulk;
-  return std::nullopt;
-}
-
 /// Per-lane QoS descriptor, threaded from the config layers down to the
-/// queues (DaemonConfig/ReceiverConfig → ServiceConfig → --lane-class /
-/// --lane-weight / --lane-rate on the tools).
+/// queues (DaemonConfig/ReceiverConfig, and --lane-weight / --lane-rate on
+/// the tools).
 struct LaneQos {
-  LaneClass lane_class = LaneClass::kInteractive;
   /// Weighted-fair share. Clamped to >= 1 wherever it is consumed; a lane
   /// with weight W gets W / Σ weights of the contended resource.
   std::uint32_t weight = 1;
@@ -93,7 +72,6 @@ struct LaneQos {
 /// as the `lanes` array of DaemonStats/ReceiverStats.
 struct LaneStats {
   std::string name;
-  LaneClass lane_class = LaneClass::kInteractive;
   std::uint32_t weight = 1;
   std::uint64_t rate_per_sec = 0;
   std::uint64_t delivered_items = 0;  ///< items popped off the lane
@@ -110,7 +88,6 @@ struct LaneStats {
 inline void accumulate(LaneStats& into, const LaneStats& add) {
   if (into.name.empty()) {
     into.name = add.name;
-    into.lane_class = add.lane_class;
     into.weight = add.weight;
     into.rate_per_sec = add.rate_per_sec;
   }
@@ -202,8 +179,7 @@ class Lane {
   Lane(std::string name, std::size_t capacity, LaneQos qos = {})
       : name_(std::move(name)),
         capacity_(capacity ? capacity : 1),
-        qos_(qos),
-        id_(next_id().fetch_add(1, std::memory_order_relaxed)) {
+        qos_(qos) {
     qos_.weight = std::max<std::uint32_t>(qos_.weight, 1);
     if (qos_.rate_per_sec > 0) {
       MutexLock lock(mu_);
@@ -218,9 +194,6 @@ class Lane {
 
   const std::string& name() const { return name_; }
   const LaneQos& qos() const { return qos_; }
-  /// Process-unique lane id — stable across the lane's life, usable as a
-  /// registry key by samplers that watch lanes come and go.
-  std::uint64_t id() const { return id_; }
   std::size_t capacity() const { return capacity_; }
 
   /// Wire this lane to a scheduler hub. Must happen before the first
@@ -373,7 +346,6 @@ class Lane {
   LaneStats stats() const {
     LaneStats s;
     s.name = name_;
-    s.lane_class = qos_.lane_class;
     s.weight = qos_.weight;
     s.rate_per_sec = qos_.rate_per_sec;
     s.delivered_items = delivered_items_.load(std::memory_order_relaxed);
@@ -389,11 +361,6 @@ class Lane {
   }
 
  private:
-  static std::atomic<std::uint64_t>& next_id() {
-    static std::atomic<std::uint64_t> counter{1};
-    return counter;
-  }
-
   /// Detach the head (the caller verified it exists) and count the delivery.
   /// Pure under-the-lock helper — the caller notifies not_full_ after the
   /// lock drops.
@@ -440,7 +407,6 @@ class Lane {
   const std::string name_;
   const std::size_t capacity_;
   LaneQos qos_;
-  const std::uint64_t id_;
   std::shared_ptr<LaneHub> hub_;
 
   mutable Mutex mu_;
@@ -485,11 +451,6 @@ class LaneScheduler {
       cycle_.add(qos.weight);
     }
     return lane;
-  }
-
-  std::size_t lane_count() const {
-    MutexLock lock(hub_->mu);
-    return lanes_.size();
   }
 
   Lane<T>& lane(std::size_t i) {

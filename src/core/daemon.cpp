@@ -57,7 +57,6 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
   if (config_.cache_bytes > 0) {
     cache::SampleCacheConfig cc;
     cc.capacity_bytes = config_.cache_bytes;
-    cc.policy = config_.cache_policy;
     cache_ = std::make_shared<cache::SampleCache>(cc);
   }
   // Build the pool (and governor) NOW, so stats() — a point-in-time

@@ -79,7 +79,6 @@ struct DaemonConfig {
   /// warm epochs skip the shard read — and CRC verification — entirely
   /// (see src/cache/sample_cache.h).
   std::size_t cache_bytes = 0;
-  cache::CachePolicy cache_policy = cache::CachePolicy::kClock;
   /// Per-batch stage tracing (src/obs): every batch carries a stamp sheet
   /// through read → encode → lane-wait → wire, folded into per-stage +
   /// end-to-end latency histograms (DaemonStats::latency) and a ring of the
@@ -145,8 +144,8 @@ struct DaemonStats {
 };
 
 /// Serialize the full stats block (throughput + pipeline + cache) as one
-/// flat JSON object — `emlio_daemon --stats-json` and the micro benches
-/// emit this so downstream tooling stops scraping stdout.
+/// flat JSON object — what `emlio_daemon --stats-json` and
+/// `--stats-interval` emit, so downstream tooling need not scrape stdout.
 json::Value to_json(const DaemonStats& stats);
 
 class Daemon {

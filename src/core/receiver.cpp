@@ -62,9 +62,13 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
                                                resequence_stalls_, gc);
   }
   window_ = std::max<std::size_t>(window_width * 2, 4);
-  const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
+  // Per-source ingest lane depth. Raw payloads buffer here between a
+  // source's receive thread and the weighted-fair dispatcher; a full lane
+  // blocks its ingest thread — and through it the transport — without
+  // touching the other sources.
+  constexpr std::size_t kIngestLaneDepth = 8;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    scheduler_.add_lane("src" + std::to_string(i), depth, lane_qos_for_source(i));
+    scheduler_.add_lane("src" + std::to_string(i), kIngestLaneDepth, lane_qos_for_source(i));
   }
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     threads_.emplace_back(

@@ -47,7 +47,6 @@
 #include "json/json.h"
 #include "msgpack/batch_codec.h"
 #include "net/channel.h"
-#include "net/retry.h"
 #include "obs/trace.h"
 
 namespace emlio::core {
@@ -70,11 +69,6 @@ struct ReceiverConfig {
   std::size_t adaptive_min_threads = 1;
   std::size_t adaptive_max_threads = 0;
   std::uint64_t adaptive_interval_ms = 20;
-  /// Per-source ingest lane depth. Raw payloads buffer here between a
-  /// source's receive thread and the weighted-fair dispatcher; a full lane
-  /// blocks its ingest thread — and through it the transport — without
-  /// touching the other sources.
-  std::size_t ingest_lane_depth = 8;
   /// QoS applied to every source lane: the dispatcher drains the lanes
   /// deficit-weighted round-robin, so under fan-in contention source i gets
   /// weight_i / Σ weights of the decode admissions — a stalled or slow
@@ -95,13 +89,6 @@ struct ReceiverConfig {
   /// Off by default; the tracing-off path takes no clocks.
   bool trace = false;
   std::size_t trace_ring = 16;
-  /// Reconnect window for sources that die mid-stream. The Receiver itself
-  /// consumes whatever MessageSources it is handed; this carries the policy
-  /// (ServiceConfig / --retry-max / --retry-deadline) to whoever builds
-  /// those sources, typically as a net::ReconnectingSource wired to
-  /// note_sender_dead / note_sender_revived. Default: fail fast, no
-  /// reconnect — a dead source repairs its epoch and stays dead.
-  net::RetryOptions reconnect;
 };
 
 struct ReceiverStats {

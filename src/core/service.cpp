@@ -26,16 +26,6 @@ EmlioService::EmlioService(ServiceConfig config)
   if (indexes_.empty()) {
     throw std::runtime_error("emlio service: no shards found in " + config_.dataset_dir);
   }
-  if (!cache::parse_policy(config_.cache_policy)) {
-    // Fail at construction, like every other config error — start() has
-    // already set started_ and begun wiring threads by the time it runs.
-    throw std::runtime_error("emlio service: unknown cache policy '" + config_.cache_policy +
-                             "' (expected \"clock\" or \"lru\")");
-  }
-  if (!parse_lane_class(config_.lane_class)) {
-    throw std::runtime_error("emlio service: unknown lane class '" + config_.lane_class +
-                             "' (expected \"interactive\" or \"bulk\")");
-  }
   PlannerConfig pc;
   pc.batch_size = config_.batch_size;
   pc.epochs = config_.epochs;
@@ -64,18 +54,16 @@ void EmlioService::start() {
     }
     net::ShmOptions so;
     so.slab_bytes = config_.shm_slab_bytes;
-    so.slab_count = config_.shm_slab_count ? config_.shm_slab_count : config_.high_water_mark;
+    so.slab_count = config_.high_water_mark;
     // Sink first (it creates the segment), then attach the source — the
     // same order the two-process tools use, minus the attach-wait.
     sink = std::make_shared<net::ShmMessageSink>(name, so);
     source = std::make_unique<net::ShmMessageSource>(name);
   } else if (config_.transport == Transport::kTcp) {
-    pull_ = std::make_unique<net::PullSocket>(/*port=*/0, config_.receiver_queue);
+    pull_ = std::make_unique<net::PullSocket>(/*port=*/0, config_.high_water_mark);
     net::PushPullOptions opts;
     opts.high_water_mark = config_.high_water_mark;
     opts.num_streams = config_.num_streams;
-    opts.connect_retry.max_attempts = config_.retry_max;
-    opts.connect_retry.deadline = std::chrono::milliseconds(config_.retry_deadline_ms);
     auto push = std::make_unique<net::PushSocket>("127.0.0.1", pull_->port(), opts);
     sink = wrap_push(std::move(push));
     // The receiver owns a thin forwarder over the pull socket.
@@ -114,30 +102,21 @@ void EmlioService::start() {
   dc.adaptive_max_threads = config_.adaptive_max_threads;
   dc.adaptive_interval_ms = config_.adaptive_interval_ms;
   dc.cache_bytes = config_.cache_bytes;
-  dc.cache_policy = *cache::parse_policy(config_.cache_policy);  // validated in ctor
   dc.trace = config_.trace;
   dc.trace_ring = config_.trace_ring;
   dc.trace_wire = config_.trace_wire;
-  LaneQos qos;
-  qos.lane_class = *parse_lane_class(config_.lane_class);  // validated in ctor
-  qos.weight = std::max<std::uint32_t>(config_.lane_weight, 1);
-  qos.rate_per_sec = config_.lane_rate;
-  dc.default_lane_qos = qos;
   daemon_ = std::make_unique<Daemon>(dc, std::move(readers), std::move(sinks));
 
   ReceiverConfig rc;
   rc.num_senders = 1;
-  rc.queue_capacity = config_.receiver_queue;
+  rc.queue_capacity = config_.high_water_mark;
   rc.decode_threads = config_.decode_threads;
   rc.adaptive_pool = config_.adaptive_pool;
   rc.adaptive_min_threads = config_.adaptive_min_threads;
   rc.adaptive_max_threads = config_.adaptive_max_threads;
   rc.adaptive_interval_ms = config_.adaptive_interval_ms;
-  rc.default_lane_qos = qos;
   rc.trace = config_.trace;
   rc.trace_ring = config_.trace_ring;
-  rc.reconnect.max_attempts = config_.retry_max;
-  rc.reconnect.deadline = std::chrono::milliseconds(config_.retry_deadline_ms);
   receiver_ = std::make_unique<Receiver>(rc, std::move(source));
 
   daemon_thread_ = std::thread([this, sink] {

@@ -30,9 +30,11 @@ struct ServiceConfig {
   std::string dataset_dir;            ///< TFRecord shards + mapping JSONs
   std::size_t batch_size = 32;        ///< B
   std::uint32_t epochs = 1;           ///< E
-  std::size_t high_water_mark = 16;   ///< ZMQ-style HWM
+  /// ZMQ-style HWM: the transport's in-flight budget (TCP send queue, shm
+  /// slab count, in-process link queue), the receiver's shared queue depth
+  /// and the default daemon prefetch depth.
+  std::size_t high_water_mark = 16;
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
-  std::size_t receiver_queue = 16;    ///< shared in-memory queue depth
   /// Daemon pipeline: read+encode pool size (0 = auto) and per-sink
   /// prefetch-queue depth (0 = follow high_water_mark).
   std::size_t pipeline_pool_threads = 0;
@@ -51,23 +53,10 @@ struct ServiceConfig {
   std::size_t adaptive_min_threads = 1;
   std::size_t adaptive_max_threads = 0;
   std::uint64_t adaptive_interval_ms = 20;
-  /// Daemon-side sample cache: byte budget (0 = off) and eviction policy
-  /// ("clock" or "lru" — parsed by cache::parse_policy; anything else makes
-  /// start() throw). When the dataset fits the budget, warm epochs are
-  /// served entirely from memory (DaemonStats::store_reads stops growing).
+  /// Daemon-side CLOCK sample cache byte budget (0 = off). When the dataset
+  /// fits the budget, warm epochs are served entirely from memory
+  /// (DaemonStats::store_reads stops growing).
   std::size_t cache_bytes = 0;
-  std::string cache_policy = "clock";
-  /// QoS lane descriptor applied to the daemon's sink lane and the
-  /// receiver's source lane ("interactive" or "bulk" — anything else makes
-  /// the constructor throw; weight clamped to >= 1; lane_rate is an
-  /// items/sec token-bucket limit at the consuming edge, 0 = none). A
-  /// single-node service has one lane on each side, so the knobs mostly
-  /// matter for stats labelling and rate capping here; multi-lane fairness
-  /// lives in DaemonConfig::node_qos / ReceiverConfig::source_qos, which
-  /// multi-node deployments set directly.
-  std::string lane_class = "interactive";
-  std::uint32_t lane_weight = 1;
-  std::uint64_t lane_rate = 0;
   /// Per-batch stage tracing on BOTH engines (src/obs): stage + end-to-end
   /// latency histograms in stats().daemon.latency / .receiver.latency and
   /// slow-batch rings behind Daemon/Receiver::trace_json. trace_wire also
@@ -77,15 +66,6 @@ struct ServiceConfig {
   bool trace = false;
   std::size_t trace_ring = 16;
   bool trace_wire = false;
-  /// Retry/backoff window shared by the fault-tolerant edges (net::RetryPolicy
-  /// schedule): the daemon's TCP sink connect path (a daemon may start before
-  /// its receiver is listening) and the receiver's reconnect window
-  /// (ReceiverConfig::reconnect, consumed by tools that wrap their source in
-  /// net::ReconnectingSource). retry_max counts TOTAL attempts including the
-  /// first — 1 keeps the historical fail-fast behavior, 0 = unlimited until
-  /// the deadline. retry_deadline_ms bounds the whole window (0 = none).
-  std::size_t retry_max = 1;
-  std::uint64_t retry_deadline_ms = 0;
   std::uint64_t seed = 1234;
   bool shuffle = true;
   bool verify_crc = false;
@@ -94,11 +74,9 @@ struct ServiceConfig {
   /// kShm knobs. shm_name "" auto-generates a per-process unique name (the
   /// segment is created by the daemon side and unlinked at teardown, so
   /// auto-named in-process services never collide or leak). shm_slab_bytes
-  /// caps the encoded batch size; shm_slab_count is the in-flight budget
-  /// (the HWM analogue — 0 = follow high_water_mark).
+  /// caps the encoded batch size; the slab count is high_water_mark.
   std::string shm_name;
   std::size_t shm_slab_bytes = 4u << 20;
-  std::size_t shm_slab_count = 0;
 };
 
 /// Aggregated run statistics.
@@ -132,6 +110,10 @@ class EmlioService {
   const Planner& planner() const { return *planner_; }
   std::uint64_t dataset_samples() const { return planner_->dataset_size(); }
   ServiceStats stats() const;
+  /// Live fault controls of the in-process link (extra latency, one-shot
+  /// spikes, drops, sever/restore). Null unless the transport is kInProcess
+  /// and start() has run.
+  const std::shared_ptr<net::SimLinkControl>& link_control() const { return link_control_; }
   /// Slow-batch forensics (ServiceConfig::trace): each engine's trace_json.
   /// Null JSON before start().
   json::Value daemon_trace_json() const;

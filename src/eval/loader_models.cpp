@@ -415,7 +415,7 @@ ScenarioResult run_emlio(const ScenarioConfig& cfg) {
   // Sample-cache model: on a warm epoch the cached fraction of batches is
   // served from daemon DRAM — no disk stage. Batches are picked evenly
   // (Bresenham spread) so partial caches interleave hits and misses the way
-  // a CLOCK/LRU-resident working set does.
+  // a CLOCK-resident working set does.
   const double cache_hit_fraction =
       (p.emlio_cache_warm && p.emlio_cache_mb > 0 && ds.total_bytes() > 0)
           ? std::min(1.0, static_cast<double>(p.emlio_cache_mb << 20) /

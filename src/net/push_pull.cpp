@@ -82,11 +82,7 @@ PullSocket::PullSocket(std::uint16_t port, std::size_t queue_capacity,
 
 PullSocket::~PullSocket() { close(); }
 
-std::optional<Payload> PullSocket::recv() {
-  auto msg = queue_.pop();
-  if (msg) received_.fetch_add(1, std::memory_order_relaxed);
-  return msg;
-}
+std::optional<Payload> PullSocket::recv() { return queue_.pop(); }
 
 void PullSocket::close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;

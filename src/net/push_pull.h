@@ -135,10 +135,6 @@ class PullSocket final : public MessageSource {
   /// The bound port (for connecting PUSH sockets).
   std::uint16_t port() const noexcept { return listener_.port(); }
 
-  std::size_t messages_received() const noexcept {
-    return received_.load(std::memory_order_relaxed);
-  }
-
   /// Receive-buffer pool statistics (observability / tests).
   BufferPool::Stats pool_stats() const { return pool_->stats(); }
 
@@ -158,7 +154,6 @@ class PullSocket final : public MessageSource {
   std::mutex peer_cb_mutex_;
   std::function<void(bool)> peer_cb_;
   std::atomic<std::size_t> peer_errors_{0};
-  std::atomic<std::size_t> received_{0};
   std::atomic<bool> closed_{false};
 };
 

@@ -14,6 +14,9 @@ namespace {
 // doorbell futex immediately.
 constexpr std::chrono::milliseconds kParkSlice{100};
 
+// Hot-path spins before a waiter parks on its doorbell futex.
+constexpr std::size_t kSpinIterations = 4096;
+
 // Busy-spin pacing: burn a few iterations back-to-back, then yield so a
 // same-core peer (single-CPU hosts, oversubscribed CI) can make progress.
 void spin_pause(std::size_t iteration) {
@@ -25,8 +28,7 @@ void spin_pause(std::size_t iteration) {
 // --------------------------------------------------------- ShmMessageSink
 
 ShmMessageSink::ShmMessageSink(const std::string& name, const ShmOptions& opts)
-    : seg_(ShmSegment::create(name, ShmSegment::Options{opts.slab_bytes, opts.slab_count})),
-      opts_(opts) {}
+    : seg_(ShmSegment::create(name, ShmSegment::Options{opts.slab_bytes, opts.slab_count})) {}
 
 ShmMessageSink::~ShmMessageSink() { close(); }
 
@@ -48,7 +50,7 @@ bool ShmMessageSink::send(Payload message) {
     if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
     desc = seg_->free_pop();
     if (desc) break;
-    if (spins < opts_.spin_iterations) {
+    if (spins < kSpinIterations) {
       spin_pause(spins++);
       continue;
     }
@@ -87,17 +89,15 @@ void ShmMessageSink::close() {
 
 // ------------------------------------------------------- ShmMessageSource
 
-ShmMessageSource::ShmMessageSource(const std::string& name, std::size_t spin_iterations)
-    : seg_(ShmSegment::attach(name)), spin_iterations_(spin_iterations) {}
+ShmMessageSource::ShmMessageSource(const std::string& name)
+    : seg_(ShmSegment::attach(name)) {}
 
-ShmMessageSource::ShmMessageSource(std::shared_ptr<ShmSegment> seg, std::size_t spin_iterations)
-    : seg_(std::move(seg)), spin_iterations_(spin_iterations) {}
+ShmMessageSource::ShmMessageSource(std::shared_ptr<ShmSegment> seg) : seg_(std::move(seg)) {}
 
 std::unique_ptr<ShmMessageSource> ShmMessageSource::attach_wait(const std::string& name,
-                                                                std::chrono::milliseconds timeout,
-                                                                std::size_t spin_iterations) {
+                                                                std::chrono::milliseconds timeout) {
   return std::unique_ptr<ShmMessageSource>(
-      new ShmMessageSource(ShmSegment::attach_wait(name, timeout), spin_iterations));
+      new ShmMessageSource(ShmSegment::attach_wait(name, timeout)));
 }
 
 ShmMessageSource::~ShmMessageSource() { close(); }
@@ -131,7 +131,7 @@ std::optional<Payload> ShmMessageSource::recv() {
       if (auto desc = seg_->data_pop()) return wrap_desc(*desc);
       return std::nullopt;
     }
-    if (spins < spin_iterations_) {
+    if (spins < kSpinIterations) {
       spin_pause(spins++);
       continue;
     }

@@ -1,5 +1,5 @@
-// SampleCache unit tests (policies, byte budget, refcount pinning, thread
-// safety) plus end-to-end integration: multi-epoch daemon runs with the
+// SampleCache unit tests (CLOCK eviction, byte budget, refcount pinning,
+// thread safety) plus end-to-end integration: multi-epoch daemon runs with the
 // cache on/off must ship byte-identical streams, and eviction pressure
 // while sender lanes hold views must never corrupt in-flight data.
 #include <gtest/gtest.h>
@@ -24,24 +24,15 @@ std::vector<std::uint8_t> pattern_bytes(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-SampleCacheConfig tiny_config(CachePolicy policy, std::size_t capacity) {
+SampleCacheConfig tiny_config(std::size_t capacity) {
   SampleCacheConfig cc;
   cc.capacity_bytes = capacity;
-  cc.policy = policy;
-  cc.shards = 1;  // deterministic eviction order for the policy tests
+  cc.shards = 1;  // deterministic eviction order for the eviction tests
   return cc;
 }
 
-TEST(SampleCachePolicy, ParseRoundTrip) {
-  EXPECT_EQ(parse_policy("clock"), CachePolicy::kClock);
-  EXPECT_EQ(parse_policy("lru"), CachePolicy::kLru);
-  EXPECT_FALSE(parse_policy("mru").has_value());
-  EXPECT_STREQ(policy_name(CachePolicy::kClock), "clock");
-  EXPECT_STREQ(policy_name(CachePolicy::kLru), "lru");
-}
-
 TEST(SampleCacheUnit, InsertFindRoundTrip) {
-  SampleCache cache(tiny_config(CachePolicy::kClock, 64 * 1024));
+  SampleCache cache(tiny_config(64 * 1024));
   SampleKey key{3, 41};
   EXPECT_FALSE(cache.find(key).has_value());
 
@@ -65,7 +56,7 @@ TEST(SampleCacheUnit, InsertFindRoundTrip) {
 }
 
 TEST(SampleCacheUnit, DuplicateInsertReturnsResidentEntry) {
-  SampleCache cache(tiny_config(CachePolicy::kLru, 64 * 1024));
+  SampleCache cache(tiny_config(64 * 1024));
   SampleKey key{1, 1};
   auto bytes = pattern_bytes(100, 1);
   auto first = cache.insert(key, bytes);
@@ -77,27 +68,8 @@ TEST(SampleCacheUnit, DuplicateInsertReturnsResidentEntry) {
   EXPECT_EQ(s.entries, 1u);
 }
 
-TEST(SampleCacheUnit, LruEvictsLeastRecentlyUsed) {
-  // Budget fits exactly three 1 KiB entries.
-  SampleCache cache(tiny_config(CachePolicy::kLru, 3 * 1024));
-  auto insert = [&](std::uint64_t i) {
-    ASSERT_TRUE(cache.insert({0, i}, pattern_bytes(1024, i)).has_value());
-  };
-  insert(0);
-  insert(1);
-  insert(2);
-  (void)cache.find({0, 0});  // 0 becomes MRU; 1 is now the LRU victim
-  insert(3);
-
-  EXPECT_TRUE(cache.find({0, 0}).has_value());
-  EXPECT_FALSE(cache.find({0, 1}).has_value());
-  EXPECT_TRUE(cache.find({0, 2}).has_value());
-  EXPECT_TRUE(cache.find({0, 3}).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
 TEST(SampleCacheUnit, ClockGivesReferencedEntriesASecondChance) {
-  SampleCache cache(tiny_config(CachePolicy::kClock, 2 * 1024));
+  SampleCache cache(tiny_config(2 * 1024));
   ASSERT_TRUE(cache.insert({0, 0}, pattern_bytes(1024, 0)).has_value());
   ASSERT_TRUE(cache.insert({0, 1}, pattern_bytes(1024, 1)).has_value());
   // The hand starts at entry 1 (most recent insert is the list head). Its
@@ -111,21 +83,19 @@ TEST(SampleCacheUnit, ClockGivesReferencedEntriesASecondChance) {
 }
 
 TEST(SampleCacheUnit, ByteBudgetHoldsUnderChurn) {
-  for (auto policy : {CachePolicy::kClock, CachePolicy::kLru}) {
-    SampleCache cache(tiny_config(policy, 8 * 1024));
-    for (std::uint64_t i = 0; i < 100; ++i) {
-      (void)cache.insert({0, i}, pattern_bytes(512, i));
-      EXPECT_LE(cache.stats().resident_bytes, 8u * 1024) << policy_name(policy);
-    }
-    auto s = cache.stats();
-    EXPECT_LE(s.resident_bytes_peak, 8u * 1024) << policy_name(policy);
-    EXPECT_GE(s.evictions, 80u) << policy_name(policy);
-    EXPECT_EQ(s.inserts, 100u) << policy_name(policy);
+  SampleCache cache(tiny_config(8 * 1024));
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    (void)cache.insert({0, i}, pattern_bytes(512, i));
+    EXPECT_LE(cache.stats().resident_bytes, 8u * 1024);
   }
+  auto s = cache.stats();
+  EXPECT_LE(s.resident_bytes_peak, 8u * 1024);
+  EXPECT_GE(s.evictions, 80u);
+  EXPECT_EQ(s.inserts, 100u);
 }
 
 TEST(SampleCacheUnit, OversizedInsertRejected) {
-  SampleCache cache(tiny_config(CachePolicy::kClock, 1024));
+  SampleCache cache(tiny_config(1024));
   EXPECT_FALSE(cache.insert({0, 0}, pattern_bytes(2048, 0)).has_value());
   auto s = cache.stats();
   EXPECT_EQ(s.rejected, 1u);
@@ -133,40 +103,37 @@ TEST(SampleCacheUnit, OversizedInsertRejected) {
   EXPECT_EQ(s.resident_bytes, 0u);
 }
 
-// The tentpole guarantee: an entry whose bytes a sender lane (or any other
+// The central guarantee: an entry whose bytes a sender lane (or any other
 // consumer) still references is pinned — eviction pressure walks around it
-// and the held view's bytes stay intact, for both policies.
+// and the held view's bytes stay intact.
 TEST(SampleCacheUnit, PinnedEntrySurvivesEvictionPressure) {
-  for (auto policy : {CachePolicy::kClock, CachePolicy::kLru}) {
-    SCOPED_TRACE(policy_name(policy));
-    SampleCache cache(tiny_config(policy, 3 * 1024));
-    auto expected = pattern_bytes(1024, 7);
-    auto pinned = cache.insert({0, 7}, expected);
-    ASSERT_TRUE(pinned.has_value());  // holding this view pins the entry
+  SampleCache cache(tiny_config(3 * 1024));
+  auto expected = pattern_bytes(1024, 7);
+  auto pinned = cache.insert({0, 7}, expected);
+  ASSERT_TRUE(pinned.has_value());  // holding this view pins the entry
 
-    // Enough churn to evict everything evictable several times over.
-    for (std::uint64_t i = 100; i < 120; ++i) {
-      (void)cache.insert({0, i}, pattern_bytes(1024, i));
-    }
-
-    auto s = cache.stats();
-    EXPECT_GE(s.evictions, 17u);
-    EXPECT_GE(s.pinned_skips, 1u);
-    EXPECT_LE(s.resident_bytes, 3u * 1024);
-    EXPECT_EQ(pinned->to_vector(), expected);  // bytes never recycled
-    EXPECT_TRUE(cache.find({0, 7}).has_value());
-
-    // Dropping the last outside handle unpins it; churn now evicts it.
-    pinned.reset();
-    for (std::uint64_t i = 200; i < 220; ++i) {
-      (void)cache.insert({0, i}, pattern_bytes(1024, i));
-    }
-    EXPECT_FALSE(cache.find({0, 7}).has_value());
+  // Enough churn to evict everything evictable several times over.
+  for (std::uint64_t i = 100; i < 120; ++i) {
+    (void)cache.insert({0, i}, pattern_bytes(1024, i));
   }
+
+  auto s = cache.stats();
+  EXPECT_GE(s.evictions, 17u);
+  EXPECT_GE(s.pinned_skips, 1u);
+  EXPECT_LE(s.resident_bytes, 3u * 1024);
+  EXPECT_EQ(pinned->to_vector(), expected);  // bytes never recycled
+  EXPECT_TRUE(cache.find({0, 7}).has_value());
+
+  // Dropping the last outside handle unpins it; churn now evicts it.
+  pinned.reset();
+  for (std::uint64_t i = 200; i < 220; ++i) {
+    (void)cache.insert({0, i}, pattern_bytes(1024, i));
+  }
+  EXPECT_FALSE(cache.find({0, 7}).has_value());
 }
 
 TEST(SampleCacheUnit, InsertRejectedWhenEveryCandidateIsPinned) {
-  SampleCache cache(tiny_config(CachePolicy::kClock, 2 * 1024));
+  SampleCache cache(tiny_config(2 * 1024));
   auto a = cache.insert({0, 0}, pattern_bytes(1024, 0));
   auto b = cache.insert({0, 1}, pattern_bytes(1024, 1));
   ASSERT_TRUE(a && b);
@@ -180,7 +147,7 @@ TEST(SampleCacheUnit, InsertRejectedWhenEveryCandidateIsPinned) {
 }
 
 TEST(SampleCacheUnit, ClearDropsUnpinnedKeepsPinned) {
-  SampleCache cache(tiny_config(CachePolicy::kLru, 64 * 1024));
+  SampleCache cache(tiny_config(64 * 1024));
   auto held = cache.insert({0, 0}, pattern_bytes(256, 0));
   ASSERT_TRUE(held.has_value());
   ASSERT_TRUE(cache.insert({0, 1}, pattern_bytes(256, 1)).has_value());
@@ -201,7 +168,6 @@ TEST(SampleCacheUnit, ClearDropsUnpinnedKeepsPinned) {
 TEST(SampleCacheUnit, ConcurrentMixedLoadStaysConsistent) {
   SampleCacheConfig cc;
   cc.capacity_bytes = 256 * 1024;  // far smaller than the working set: churn
-  cc.policy = CachePolicy::kClock;
   cc.shards = 4;
   SampleCache cache(cc);
 
@@ -336,9 +302,7 @@ TEST_F(CacheIntegrationTest, WarmEpochsSkipStorageWithByteIdenticalStreams) {
 // (the Trainer CRC-checks payload contents) — recycled-while-referenced
 // bytes would surface as corrupt samples.
 TEST_F(CacheIntegrationTest, EvictionUnderPressureNeverCorruptsInFlightData) {
-  auto cfg = config(/*cache_bytes=*/4 * 1024);
-  cfg.cache_policy = "lru";
-  EmlioService service(cfg);
+  EmlioService service(config(/*cache_bytes=*/4 * 1024));
   service.start();
 
   for (std::uint32_t epoch = 0; epoch < 3; ++epoch) {
@@ -362,12 +326,6 @@ TEST_F(CacheIntegrationTest, EvictionUnderPressureNeverCorruptsInFlightData) {
   EXPECT_LE(s.cache.resident_bytes_peak, 4u * 1024);
   EXPECT_GT(s.store_reads, 6u);  // partial hits: storage still consulted
   EXPECT_EQ(s.errors, 0u);
-}
-
-TEST_F(CacheIntegrationTest, UnknownCachePolicyThrowsAtConstruction) {
-  auto cfg = config(1 << 20);
-  cfg.cache_policy = "mru";
-  EXPECT_THROW(EmlioService service(cfg), std::runtime_error);
 }
 
 }  // namespace

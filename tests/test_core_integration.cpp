@@ -170,20 +170,47 @@ TEST_F(CoreIntegrationTest, LatencyInjectedChannelStillCorrect) {
 }
 
 TEST_F(CoreIntegrationTest, LatencySpikeMidEpochDoesNotCorrupt) {
+  // One sample per batch and a shallow HWM keep the daemon far short of the
+  // epoch's end when the spike is armed, so the spiked message is a data
+  // batch, and its traced wire stage (send origin -> receiver ingest) must
+  // absorb the whole spike.
+  constexpr double kSpikeMs = 60.0;
   auto cfg = base_config();
+  cfg.batch_size = 1;
+  cfg.high_water_mark = 2;
   cfg.link.rtt_ms = 2.0;
+  cfg.trace = true;
+  cfg.trace_wire = true;
   EmlioService service(cfg);
+  EXPECT_EQ(service.link_control(), nullptr);  // no link before start()
   service.start();
+  const auto link = service.link_control();
+  ASSERT_NE(link, nullptr);
+
   train::TrainerOptions topt;
   topt.expected_samples_per_epoch = spec_.num_samples;
   train::Trainer trainer(topt);
   trainer.start_epoch(0);
+  std::size_t steps = 0;
   while (auto batch = service.next_batch()) {
     if (batch->last) break;
     trainer.train_step(*batch);
+    if (++steps == 3) {
+      link->spike_next_ms(kSpikeMs);
+      link->set_extra_latency_ms(1.0);  // congestion for the rest of the epoch
+    }
   }
-  EXPECT_TRUE(trainer.end_epoch().clean(spec_.num_samples));
+  auto result = trainer.end_epoch();
+  EXPECT_TRUE(result.clean(spec_.num_samples)) << "dups=" << result.duplicate_samples
+                                               << " corrupt=" << result.corrupt_samples;
   service.stop();
+
+  const auto latency = service.stats().receiver.latency;
+  auto wire = std::find_if(latency.begin(), latency.end(),
+                           [](const obs::StageSummary& s) { return s.stage == "wire"; });
+  ASSERT_NE(wire, latency.end());
+  EXPECT_EQ(wire->count, spec_.num_samples);
+  EXPECT_GE(wire->max_ns, kSpikeMs * 1e6);
 }
 
 TEST_F(CoreIntegrationTest, AdaptivePoolServiceDeliversCleanlyAndReportsSizing) {
@@ -503,6 +530,7 @@ TEST(ReceiverParallelDecode, SentinelOvertakeAndEpochReorderPooled) {
 std::vector<msgpack::WireBatch> reference_delivery(const std::vector<Payload>& script,
                                                    std::size_t num_senders) {
   EpochSequencer<msgpack::WireBatch> epochs(num_senders);
+  constexpr auto kAnon = EpochSequencer<msgpack::WireBatch>::kUnattributed;
   std::vector<msgpack::WireBatch> out;
   auto on_data = [&out](msgpack::WireBatch&& b) { out.push_back(std::move(b)); };
   auto on_marker = [&out](std::uint32_t epoch, std::uint64_t expected) {
@@ -516,9 +544,9 @@ std::vector<msgpack::WireBatch> reference_delivery(const std::vector<Payload>& s
       continue;
     }
     if (b.last) {
-      epochs.sentinel(b.epoch, b.sent_count, on_data, on_marker);
+      epochs.sentinel(b.epoch, kAnon, b.sent_count, on_data, on_marker);
     } else {
-      epochs.data(b.epoch, std::move(b), on_data, on_marker);
+      epochs.data(b.epoch, kAnon, std::move(b), on_data, on_marker);
     }
   }
   epochs.finish(on_data, on_marker);

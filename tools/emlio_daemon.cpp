@@ -10,8 +10,7 @@
 //       [--batch 128] [--epochs 1] [--streams 2] [--hwm 16]
 //       [--pool 0] [--prefetch 16] [--seed 1234]
 //       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
-//       [--lane-class interactive|bulk] [--lane-weight 1] [--lane-rate 0]
-//       [--cache-mb 0] [--cache-policy clock|lru]
+//       [--lane-weight 1] [--lane-rate 0] [--cache-mb 0]
 //       [--retry-max 1] [--retry-deadline 0]
 //       [--stats-json PATH] [--stats-interval SECS]
 //       [--trace] [--trace-ring 16] [--trace-wire] [--trace-dump PATH]
@@ -37,13 +36,12 @@
 // grows the pool when sender stalls dominate (the wire waits on encode) and
 // shrinks it when enqueue stalls do, within [--adaptive-min, --adaptive-max]
 // (0 max = auto); --pool then only sets the starting width.
-// --cache-mb gives the sample cache a byte budget (0 = off): record payloads
-// stay resident across epochs so warm epochs skip shard reads entirely;
-// --cache-policy picks its eviction policy. --seed sets the planner's
-// shuffle seed. --lane-class/--lane-weight/--lane-rate set the QoS
-// descriptor applied to every sink lane (class labels the tenant, weight is
-// its DWRR share of a contended encode pool, rate an items/sec cap at the
-// sender edge). --stats-json dumps the final DaemonStats (throughput +
+// --cache-mb gives the CLOCK sample cache a byte budget (0 = off): record
+// payloads stay resident across epochs so warm epochs skip shard reads
+// entirely. --seed sets the planner's shuffle seed. --lane-weight/--lane-rate
+// set the QoS descriptor applied to every sink lane (weight is its DWRR
+// share of a contended encode pool, rate an items/sec cap at the sender
+// edge). --stats-json dumps the final DaemonStats (throughput +
 // pipeline + cache + per-lane counters) as a JSON file at exit, so
 // harnesses read structured results instead of scraping stdout;
 // --stats-interval streams per-window DaemonStats deltas to stdout as tsdb
@@ -75,7 +73,7 @@ int main(int argc, char** argv) {
   std::string data, connect_to = "127.0.0.1:5555";
   std::string transport = "tcp", shm_name = "emlio0";
   std::size_t shm_slab_mb = 4;
-  std::string cache_policy = "clock", stats_json;
+  std::string stats_json;
   std::size_t batch = 128, streams = 2, hwm = 16;
   std::size_t pool = 0, prefetch = 16, cache_mb = 0;
   std::size_t adaptive_min = 1, adaptive_max = 0;
@@ -84,7 +82,6 @@ int main(int argc, char** argv) {
   bool adaptive = false;
   std::uint32_t epochs = 1;
   std::uint64_t seed = 1234;
-  std::string lane_class = "interactive";
   std::size_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
   double stats_interval = 0.0;
@@ -111,11 +108,9 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--seed")) seed = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--lane-class")) lane_class = next();
     else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--cache-mb")) cache_mb = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--cache-policy")) cache_policy = next();
     else if (!std::strcmp(argv[i], "--retry-max")) retry_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--retry-deadline")) retry_deadline_ms = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--stats-json")) stats_json = next();
@@ -130,25 +125,12 @@ int main(int argc, char** argv) {
                            "[--batch B] [--epochs E] [--streams S] [--hwm H] "
                            "[--pool N] [--prefetch D] [--seed N] "
                            "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
-                           "[--lane-class interactive|bulk] [--lane-weight W] [--lane-rate N] "
-                           "[--cache-mb MB] [--cache-policy clock|lru] "
+                           "[--lane-weight W] [--lane-rate N] [--cache-mb MB] "
                            "[--retry-max N] [--retry-deadline MS] "
                            "[--stats-json PATH] [--stats-interval SECS] "
                            "[--trace] [--trace-ring K] [--trace-wire] [--trace-dump PATH]\n");
       return 2;
     }
-  }
-  auto policy = cache::parse_policy(cache_policy);
-  if (!policy) {
-    std::fprintf(stderr, "emlio_daemon: unknown --cache-policy '%s' (expected clock or lru)\n",
-                 cache_policy.c_str());
-    return 2;
-  }
-  auto parsed_class = parse_lane_class(lane_class);
-  if (!parsed_class) {
-    std::fprintf(stderr, "emlio_daemon: unknown --lane-class '%s' (expected interactive or bulk)\n",
-                 lane_class.c_str());
-    return 2;
   }
   if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
   if (data.empty()) {
@@ -217,8 +199,6 @@ int main(int argc, char** argv) {
     dc.adaptive_min_threads = adaptive_min;
     dc.adaptive_max_threads = adaptive_max;
     dc.cache_bytes = cache_mb << 20;
-    dc.cache_policy = *policy;
-    dc.default_lane_qos.lane_class = *parsed_class;
     dc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
     dc.default_lane_qos.rate_per_sec = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty
@@ -273,9 +253,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.pool_threads_peak));
     }
     if (cache_mb > 0) {
-      std::printf("emlio_daemon: cache (%s, %zu MB) — %llu hits / %llu misses, "
+      std::printf("emlio_daemon: cache (clock, %zu MB) — %llu hits / %llu misses, "
                   "%llu evictions (%llu pinned skips), peak resident %.1f MB\n",
-                  cache_policy.c_str(), cache_mb,
+                  cache_mb,
                   static_cast<unsigned long long>(stats.cache.hits),
                   static_cast<unsigned long long>(stats.cache.misses),
                   static_cast<unsigned long long>(stats.cache.evictions),

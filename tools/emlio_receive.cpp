@@ -6,7 +6,7 @@
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-wait-ms 10000]
 //       [--decode-threads 1]
 //       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
-//       [--lane-class interactive|bulk] [--lane-weight 1] [--lane-rate 0]
+//       [--lane-weight 1] [--lane-rate 0]
 //       [--retry-max 1] [--retry-deadline 0]
 //       [--stats-json PATH] [--stats-interval SECS]
 //       [--trace] [--trace-ring 16] [--trace-dump PATH]
@@ -33,7 +33,7 @@
 // the stall-ratio governor (grow on decode stalls, shrink on resequence
 // stalls, within [--adaptive-min, --adaptive-max], 0 max = auto);
 // --decode-threads then only sets the starting width.
-// --lane-class/--lane-weight/--lane-rate set the QoS descriptor applied to
+// --lane-weight/--lane-rate set the QoS descriptor applied to
 // every source ingest lane (the weighted-fair dispatcher drains source lanes
 // DWRR; rate is an items/sec cap at the dispatch edge). --stats-json dumps
 // the final ReceiverStats (throughput + decode-pipeline + per-lane counters)
@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
   std::uint64_t retry_deadline_ms = 0;
   bool adaptive = false;
   std::string stats_json;
-  std::string lane_class = "interactive";
   std::size_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
   double stats_interval = 0.0;
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--stats-json")) stats_json = next();
-    else if (!std::strcmp(argv[i], "--lane-class")) lane_class = next();
     else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--retry-max")) retry_max = std::strtoul(next(), nullptr, 10);
@@ -116,19 +114,12 @@ int main(int argc, char** argv) {
                    "[--transport tcp|shm] [--shm-name NAME] [--shm-wait-ms MS] "
                    "[--decode-threads N] "
                    "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
-                   "[--lane-class interactive|bulk] [--lane-weight W] [--lane-rate N] "
+                   "[--lane-weight W] [--lane-rate N] "
                    "[--retry-max N] [--retry-deadline MS] "
                    "[--stats-json PATH] [--stats-interval SECS] "
                    "[--trace] [--trace-ring K] [--trace-dump PATH]\n");
       return 2;
     }
-  }
-  auto parsed_class = parse_lane_class(lane_class);
-  if (!parsed_class) {
-    std::fprintf(stderr,
-                 "emlio_receive: unknown --lane-class '%s' (expected interactive or bulk)\n",
-                 lane_class.c_str());
-    return 2;
   }
   if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
   if (adaptive_min == 0) adaptive_min = 1;  // same clamp the library applies
@@ -215,14 +206,11 @@ int main(int argc, char** argv) {
     rc.adaptive_pool = adaptive;
     rc.adaptive_min_threads = adaptive_min;
     rc.adaptive_max_threads = adaptive_max;
-    rc.default_lane_qos.lane_class = *parsed_class;
     rc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
     rc.default_lane_qos.rate_per_sec = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty
     rc.trace = trace;
     rc.trace_ring = trace_ring;
-    rc.reconnect.max_attempts = retry_max;
-    rc.reconnect.deadline = std::chrono::milliseconds(retry_deadline_ms);
     core::Receiver receiver(rc, std::move(source));
     receiver_ptr = &receiver;
     std::optional<core::StatsStreamer> streamer;

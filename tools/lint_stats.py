@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Stats-convention lint for the emlio source tree.
+"""Stats- and config-convention lint for the emlio source tree.
 
-Two checks, both enforcing documented conventions (see the comment block
-above Daemon's counter members in src/core/daemon.h):
+Three checks. The first two enforce the stats conventions documented in
+the comment block above Daemon's counter members in src/core/daemon.h:
 
 1. explicit-ordering: every atomic access in src/ (.load / .store /
    .fetch_add / .fetch_sub / .fetch_or / .exchange /
@@ -16,6 +16,12 @@ above Daemon's counter members in src/core/daemon.h):
    serializer's body. Adding a counter to the struct but not to to_json is
    how dashboards silently lose telemetry. Fields that are deliberately not
    serialized carry `// lint: not-serialized` on their declaration line.
+
+3. dead-config: every field of a `*Config` / `*Options` struct in src/ must
+   be read somewhere in src/ or tools/. A read is a `.field` or `->field`
+   that is not the target of a plain assignment (to the field itself or to
+   one of its members). A field that is only ever written is an option
+   that changes nothing: delete it, or make the code honour it.
 
 Usage: tools/lint_stats.py [repo_root]     (exit 0 clean, 1 findings)
 """
@@ -33,16 +39,17 @@ ATOMIC_CALL = re.compile(
 TO_JSON_DEF = re.compile(
     r"json::Value\s+to_json\s*\(\s*const\s+([A-Za-z_][\w:]*)\s*&\s*(\w+)\s*\)\s*\{"
 )
-# A field declaration: `type name;` or `type name = init;` — no '(' before
-# the name (rejects methods), optionally preceded by qualifiers. The prefix
-# must begin with an identifier character so a bare assignment statement
-# (`last_ns = now;`) inside an inline method body cannot pass as a
-# declaration whose "type" is whitespace.
+# A field declaration: `type name;`, `type name = init;` or `type name{init};`
+# — no '(' before the name (rejects methods), optionally preceded by
+# qualifiers. The prefix must begin with an identifier character so a bare
+# assignment statement (`last_ns = now;`) inside an inline method body
+# cannot pass as a declaration whose "type" is whitespace.
 FIELD_DECL = re.compile(
     r"^\s*(?!using|typedef|static|friend|return|if|for|while|switch)"
-    r"([A-Za-z_][\w:<>,\s\*&]*?)[\s&\*]([A-Za-z_]\w*)\s*(?:=[^;]*)?;"
+    r"([A-Za-z_][\w:<>,\s\*&]*?)[\s&\*]([A-Za-z_]\w*)\s*(?:=[^;]*|\{[^;]*\})?;"
 )
 OPT_OUT = "lint: not-serialized"
+CONFIG_STRUCT = re.compile(r"\bstruct\s+(\w*(?:Config|Options))\b[^;{]*\{")
 
 
 def strip_comments(text: str) -> str:
@@ -125,6 +132,31 @@ def check_serializers(sources: list[Path]) -> list[str]:
     return findings
 
 
+def check_config_reads(sources: list[Path], readers: list[Path]) -> list[str]:
+    texts = [strip_comments(p.read_text()) for p in readers]
+    findings = []
+    for path in sources:
+        text = strip_comments(path.read_text())
+        for m in CONFIG_STRUCT.finditer(text):
+            for line in balanced_body(text, m.end() - 1).splitlines():
+                if "(" in line.split("=")[0]:  # method / ctor / function pointer
+                    continue
+                fm = FIELD_DECL.match(line)
+                if not fm:
+                    continue
+                field = fm.group(2)
+                # `x.f = v` and `x.f.g = v` both write f; `x.f == v` reads it.
+                read = re.compile(
+                    r"(?:\.|->)" + re.escape(field) + r"\b(?!(?:\s*(?:\.|->)\s*\w+)*\s*=[^=])"
+                )
+                if not any(read.search(t) for t in texts):
+                    findings.append(
+                        f"{path}: {m.group(1)}::{field} is never read in src/ or tools/ "
+                        f"(an option nobody reads changes nothing)"
+                    )
+    return findings
+
+
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
     src = root / "src"
@@ -132,7 +164,14 @@ def main() -> int:
     if not sources:
         print(f"lint_stats: no sources under {src}", file=sys.stderr)
         return 2
-    findings = list(dict.fromkeys(check_orderings(sources) + check_serializers(sources)))
+    tools = sorted(p for p in (root / "tools").rglob("*") if p.suffix in (".h", ".cpp"))
+    findings = list(
+        dict.fromkeys(
+            check_orderings(sources)
+            + check_serializers(sources)
+            + check_config_reads(sources, sources + tools)
+        )
+    )
     for f in findings:
         print(f)
     print(f"lint_stats: {len(sources)} files, {len(findings)} finding(s)")
