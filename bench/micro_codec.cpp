@@ -1,10 +1,12 @@
-// google-benchmark microbenches for the hot paths: CRC32C, TFRecord framing
-// and slicing, msgpack batch encode/decode, and sample generation — plus a
+// google-benchmark microbenches for the hot paths: CRC32C, the sample
+// checksum, TFRecord framing and slicing, msgpack batch encode/decode, sample
+// generation and per-batch preprocessing — plus a
 // decode-path allocation audit that quantifies the zero-copy Payload
 // refactor (per-sample heap allocations and bytes copied, view decode vs the
 // old materializing decode), appended as JSON via bench_common.h.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -16,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "json/json.h"
 #include "msgpack/batch_codec.h"
+#include "pipeline/ops.h"
 #include "tfrecord/reader.h"
 #include "workload/materialize.h"
 
@@ -84,6 +87,41 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(1024)->Arg(100 * 1024)->Arg(1024 * 1024);
+
+void BM_SampleValidate(benchmark::State& state) {
+  auto spec = workload::presets::tiny(1, static_cast<std::uint64_t>(state.range(0)));
+  spec.size_jitter = 0.0;
+  auto sample = workload::SampleGenerator(spec).generate(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload::SampleGenerator::validate(sample));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_SampleValidate)->Arg(100 * 1024)->Arg(2 * 1024 * 1024);
+
+void BM_Preprocess(benchmark::State& state) {
+  // One 64 x 100 KB batch through the Pipeline worker's per-sample ops:
+  // decode (checksum + gather) -> 28x28 crop -> mirror -> normalize.
+  constexpr std::size_t kSamples = 64;
+  static constexpr std::array<float, 3> kMean = {128.0f, 128.0f, 128.0f};
+  static constexpr std::array<float, 3> kStd = {64.0f, 64.0f, 64.0f};
+  auto spec = workload::presets::tiny(kSamples, 100 * 1024);
+  spec.size_jitter = 0.0;
+  workload::SampleGenerator gen(spec);
+  std::vector<std::vector<std::uint8_t>> batch;
+  for (std::uint64_t i = 0; i < kSamples; ++i) batch.push_back(gen.generate(i));
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      auto d = pipeline::decode(batch[i], 0);
+      auto img = pipeline::crop(d.image, 2, 2, 28, 28);
+      img = pipeline::normalize(pipeline::mirror(std::move(img), i % 2 == 0), kMean, kStd);
+      benchmark::DoNotOptimize(img.data.data());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSamples * 100 * 1024));
+}
+BENCHMARK(BM_Preprocess);
 
 void BM_BatchEncode(benchmark::State& state) {
   auto batch = sample_batch(static_cast<std::size_t>(state.range(0)),

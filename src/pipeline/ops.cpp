@@ -20,17 +20,16 @@ Decoded decode(std::span<const std::uint8_t> encoded, std::int64_t label, std::u
 
   // Deterministic "pixels": stride the encoded body so different bytes land
   // in different pixels; decode work is O(pixels), as a thumbnail decode is.
+  // Pixel i reads body byte (i * 1315423911) % n, stepped without division.
   std::size_t body = workload::SampleLayout::kHeaderBytes;
   if (encoded.size() <= body) return out;  // undecodable: black image
-  std::size_t n = encoded.size() - body;
-  for (std::uint32_t y = 0; y < out_height; ++y) {
-    for (std::uint32_t x = 0; x < out_width; ++x) {
-      for (std::uint32_t c = 0; c < 3; ++c) {
-        std::size_t k =
-            ((static_cast<std::size_t>(y) * out_width + x) * 3 + c) * 1315423911u % n;
-        out.image.at(y, x, c) = static_cast<float>(encoded[body + k]);
-      }
-    }
+  const std::size_t n = encoded.size() - body;
+  const std::size_t step = 1315423911u % n;
+  std::size_t k = 0;
+  for (float& px : out.image.data) {
+    px = static_cast<float>(encoded[body + k]);
+    k += step;
+    if (k >= n) k -= n;
   }
   return out;
 }
@@ -71,43 +70,38 @@ Tensor crop(const Tensor& in, std::uint32_t y0, std::uint32_t x0, std::uint32_t 
     throw std::out_of_range("crop: rectangle exceeds image bounds");
   }
   Tensor out = Tensor::zeros(h, w, in.channels);
-  for (std::uint32_t y = 0; y < h; ++y) {
-    for (std::uint32_t x = 0; x < w; ++x) {
-      for (std::uint32_t c = 0; c < in.channels; ++c) {
-        out.at(y, x, c) = in.at(y0 + y, x0 + x, c);
-      }
-    }
+  const std::size_t row = static_cast<std::size_t>(w) * in.channels;
+  const std::size_t in_row = static_cast<std::size_t>(in.width) * in.channels;
+  const float* src = in.data.data() + static_cast<std::size_t>(y0) * in_row +
+                     static_cast<std::size_t>(x0) * in.channels;
+  for (std::uint32_t y = 0; y < h; ++y, src += in_row) {
+    std::copy_n(src, row, out.data.data() + y * row);
   }
   return out;
 }
 
-Tensor mirror(const Tensor& in, bool flip) {
-  if (!flip) return in;
-  Tensor out = Tensor::zeros(in.height, in.width, in.channels);
-  for (std::uint32_t y = 0; y < in.height; ++y) {
-    for (std::uint32_t x = 0; x < in.width; ++x) {
-      for (std::uint32_t c = 0; c < in.channels; ++c) {
-        out.at(y, x, c) = in.at(y, in.width - 1 - x, c);
-      }
-    }
+Tensor mirror(Tensor t, bool flip) {
+  const std::size_t ch = t.channels;
+  const std::size_t row = t.width * ch;
+  if (!flip || row == 0) return t;
+  for (std::size_t r = 0; r < t.data.size(); r += row) {
+    float* a = t.data.data() + r;
+    float* b = a + row - ch;
+    for (; a < b; a += ch, b -= ch) std::swap_ranges(a, a + ch, b);
   }
-  return out;
+  return t;
 }
 
-Tensor normalize(const Tensor& in, std::span<const float> mean, std::span<const float> stddev) {
-  if (mean.size() != in.channels || stddev.size() != in.channels) {
+Tensor normalize(Tensor t, std::span<const float> mean, std::span<const float> stddev) {
+  if (mean.size() != t.channels || stddev.size() != t.channels) {
     throw std::invalid_argument("normalize: mean/std size must equal channel count");
   }
-  Tensor out = in;
-  for (std::uint32_t y = 0; y < in.height; ++y) {
-    for (std::uint32_t x = 0; x < in.width; ++x) {
-      for (std::uint32_t c = 0; c < in.channels; ++c) {
-        float s = stddev[c] != 0.0f ? stddev[c] : 1.0f;
-        out.at(y, x, c) = (in.at(y, x, c) - mean[c]) / s;
-      }
-    }
+  for (std::uint32_t c = 0; c < t.channels; ++c) {
+    const float m = mean[c];
+    const float s = stddev[c] != 0.0f ? stddev[c] : 1.0f;
+    for (std::size_t i = c; i < t.data.size(); i += t.channels) t.data[i] = (t.data[i] - m) / s;
   }
-  return out;
+  return t;
 }
 
 }  // namespace emlio::pipeline

@@ -1,11 +1,12 @@
 // Preprocessing operators — the DALI stages EMLIO hooks into (§4.1):
 // "decoding JPEGs, resizing, cropping, normalizing tensors".
 //
-// Decode validates the pseudo-JPEG checksum (end-to-end integrity from shard
-// build to training) and expands the encoded bytes into a deterministic
-// thumbnail tensor. The geometric/statistical ops are faithful
-// implementations over that tensor (bilinear resize, bounds-checked crop,
-// mean/std normalize, deterministic-seed horizontal mirror).
+// Decode validates the pseudo-JPEG sample's XXH64 trailer over every header
+// and body byte (end-to-end integrity from shard build to training) and
+// gathers the encoded bytes into a deterministic thumbnail tensor. The
+// geometric/statistical ops are faithful implementations over that tensor
+// (bilinear resize, bounds-checked crop, mean/std normalize,
+// deterministic-seed horizontal mirror).
 #pragma once
 
 #include <cstdint>
@@ -37,10 +38,11 @@ Tensor crop(const Tensor& in, std::uint32_t y0, std::uint32_t x0, std::uint32_t 
             std::uint32_t w);
 
 /// Horizontal mirror (the standard training augmentation), applied when
-/// `flip` is true.
-Tensor mirror(const Tensor& in, bool flip);
+/// `flip` is true. Works in place, so a moved-in buffer is reused.
+Tensor mirror(Tensor t, bool flip);
 
-/// Per-channel normalize: out = (in - mean[c]) / std[c].
-Tensor normalize(const Tensor& in, std::span<const float> mean, std::span<const float> stddev);
+/// Per-channel normalize, in place like mirror: out = (in - mean[c]) /
+/// std[c], with a zero std treated as 1.
+Tensor normalize(Tensor t, std::span<const float> mean, std::span<const float> stddev);
 
 }  // namespace emlio::pipeline

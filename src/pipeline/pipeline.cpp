@@ -87,9 +87,9 @@ PreprocessedBatch Pipeline::preprocess(msgpack::WireBatch batch) {
       d.image = crop(d.image, y0, x0, config_.crop, config_.crop);
     }
     if (config_.train_mirror) {
-      d.image = mirror(d.image, rng.uniform01() < 0.5);
+      d.image = mirror(std::move(d.image), rng.uniform01() < 0.5);
     }
-    d.image = normalize(d.image, kMean, kStd);
+    d.image = normalize(std::move(d.image), kMean, kStd);
     out.samples.push_back(std::move(d));
   }
 

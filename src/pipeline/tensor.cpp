@@ -14,14 +14,6 @@ Tensor Tensor::zeros(std::uint32_t h, std::uint32_t w, std::uint32_t c) {
   return t;
 }
 
-float& Tensor::at(std::uint32_t y, std::uint32_t x, std::uint32_t ch) {
-  return data[(static_cast<std::size_t>(y) * width + x) * channels + ch];
-}
-
-float Tensor::at(std::uint32_t y, std::uint32_t x, std::uint32_t ch) const {
-  return data[(static_cast<std::size_t>(y) * width + x) * channels + ch];
-}
-
 double Tensor::mean() const {
   if (data.empty()) return 0.0;
   double sum = 0.0;

@@ -4,20 +4,9 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/xxh64.h"
+
 namespace emlio::workload {
-
-namespace {
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 SampleGenerator::SampleGenerator(DatasetSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), seed_(seed) {}
@@ -65,8 +54,8 @@ std::vector<std::uint8_t> SampleGenerator::generate(std::uint64_t index) const {
     out[i] = static_cast<std::uint8_t>(word & 0xFF);
   }
 
-  // Trailer: FNV-1a of header+body.
-  std::uint64_t checksum = fnv1a(out.data(), body_end);
+  // Trailer: XXH64 of header+body.
+  std::uint64_t checksum = xxh64(out.data(), body_end);
   std::memcpy(out.data() + body_end, &checksum, 8);
   return out;
 }
@@ -81,7 +70,7 @@ bool SampleGenerator::validate(const std::uint8_t* data, std::size_t size) {
   std::size_t body_end = size - SampleLayout::kTrailerBytes;
   std::uint64_t stored = 0;
   std::memcpy(&stored, data + body_end, 8);
-  return fnv1a(data, body_end) == stored;
+  return xxh64(data, body_end) == stored;
 }
 
 std::uint64_t SampleGenerator::embedded_index(const std::uint8_t* data, std::size_t size) {

@@ -20,7 +20,7 @@ struct SampleLayout {
   static constexpr std::uint8_t kMagic0 = 0xFF;  // mimics JPEG SOI
   static constexpr std::uint8_t kMagic1 = 0xD8;
   static constexpr std::size_t kHeaderBytes = 16;   // magic + sample id + label
-  static constexpr std::size_t kTrailerBytes = 8;   // FNV-1a checksum of body
+  static constexpr std::size_t kTrailerBytes = 8;   // XXH64 of header+body
   static constexpr std::size_t kMinSampleBytes = kHeaderBytes + kTrailerBytes + 1;
 };
 
@@ -41,8 +41,8 @@ class SampleGenerator {
   /// Generate the full encoded sample i.
   std::vector<std::uint8_t> generate(std::uint64_t index) const;
 
-  /// Validate a sample produced by generate(): header magic, embedded index,
-  /// and body checksum. Returns false on any mismatch.
+  /// Validate a sample produced by generate(): header magic and the XXH64
+  /// trailer over header+body. Returns false on any mismatch.
   static bool validate(const std::vector<std::uint8_t>& bytes);
   static bool validate(const std::uint8_t* data, std::size_t size);
 

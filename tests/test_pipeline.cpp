@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
 
+#include "common/rng.h"
 #include "pipeline/ops.h"
 #include "pipeline/pipeline.h"
 #include "workload/sample_generator.h"
@@ -161,6 +163,78 @@ TEST(Ops, NormalizeValidatesChannelCount) {
   auto img = gradient_image(2, 2);
   std::array<float, 2> wrong{1.0f, 1.0f};
   EXPECT_THROW(normalize(img, wrong, wrong), std::invalid_argument);
+}
+
+// ------------------------------------------- bit-identity with reference loops
+
+// decode's pixel gather as first written: one 64-bit division per pixel.
+Tensor reference_gather(const std::vector<std::uint8_t>& bytes, std::uint32_t h,
+                        std::uint32_t w) {
+  auto img = Tensor::zeros(h, w, 3);
+  const std::size_t body = workload::SampleLayout::kHeaderBytes;
+  if (bytes.size() <= body) return img;
+  const std::size_t n = bytes.size() - body;
+  for (std::uint32_t y = 0; y < h; ++y) {
+    for (std::uint32_t x = 0; x < w; ++x) {
+      for (std::uint32_t c = 0; c < 3; ++c) {
+        std::size_t k = ((static_cast<std::size_t>(y) * w + x) * 3 + c) * 1315423911u % n;
+        img.at(y, x, c) = static_cast<float>(bytes[body + k]);
+      }
+    }
+  }
+  return img;
+}
+
+TEST(Ops, DecodeMatchesDivisionGatherBitForBit) {
+  Rng rng(5);
+  std::vector<std::vector<std::uint8_t>> inputs;
+  // Undecodable (<= header), n = 1, n = 3 (divides 1315423911), n = 7, n = 284.
+  for (std::size_t size : {10, 16, 17, 19, 23, 300}) {
+    std::vector<std::uint8_t> bytes(size);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    inputs.push_back(std::move(bytes));
+  }
+  workload::SampleGenerator gen(workload::presets::imagenet_10gb());  // ~100 KB, jittered
+  for (std::uint64_t i = 0; i < 4; ++i) inputs.push_back(gen.generate(i));
+  for (const auto& bytes : inputs) {
+    for (auto [h, w] : {std::pair{32u, 32u}, std::pair{7u, 5u}}) {
+      EXPECT_EQ(decode(bytes, 0, h, w).image.data, reference_gather(bytes, h, w).data)
+          << bytes.size() << " bytes, " << h << "x" << w;
+    }
+  }
+}
+
+TEST(Ops, CropMirrorNormalizeMatchReferenceLoops) {
+  workload::SampleGenerator gen(workload::presets::tiny(4, 2000));
+  for (const Tensor& img : {decode(gen.generate(1), 0, 32, 32).image, gradient_image(5, 7)}) {
+    const std::uint32_t h = img.height - 2, w = img.width - 3;
+    auto cropped = crop(img, 2, 1, h, w);
+    ASSERT_EQ(cropped.size(), static_cast<std::size_t>(h) * w * 3);
+    for (std::uint32_t y = 0; y < h; ++y)
+      for (std::uint32_t x = 0; x < w; ++x)
+        for (std::uint32_t c = 0; c < 3; ++c)
+          EXPECT_EQ(cropped.at(y, x, c), img.at(y + 2, x + 1, c));
+
+    for (bool flip : {false, true}) {
+      auto mirrored = mirror(img, flip);
+      ASSERT_EQ(mirrored.size(), img.size());
+      for (std::uint32_t y = 0; y < img.height; ++y)
+        for (std::uint32_t x = 0; x < img.width; ++x)
+          for (std::uint32_t c = 0; c < 3; ++c)
+            EXPECT_EQ(mirrored.at(y, x, c), img.at(y, flip ? img.width - 1 - x : x, c));
+    }
+
+    // A zero std divides by 1; 3.7 is no power of two, so a reciprocal
+    // multiply would not match the division bit for bit.
+    const std::array<float, 3> mean{128.0f, 100.5f, -3.0f}, stddev{64.0f, 0.0f, 3.7f};
+    auto normalized = normalize(img, mean, stddev);
+    for (std::uint32_t y = 0; y < img.height; ++y)
+      for (std::uint32_t x = 0; x < img.width; ++x)
+        for (std::uint32_t c = 0; c < 3; ++c) {
+          float s = stddev[c] != 0.0f ? stddev[c] : 1.0f;
+          EXPECT_EQ(normalized.at(y, x, c), (img.at(y, x, c) - mean[c]) / s);
+        }
+  }
 }
 
 // ------------------------------------------------------------- pipeline

@@ -2,8 +2,11 @@
 // materialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string_view>
 
+#include "common/xxh64.h"
 #include "tfrecord/reader.h"
 #include "workload/dataset_spec.h"
 #include "workload/materialize.h"
@@ -73,6 +76,53 @@ TEST(SampleGenerator, TooSmallInvalid) {
   std::vector<std::uint8_t> tiny(4, 0xFF);
   EXPECT_FALSE(SampleGenerator::validate(tiny));
   EXPECT_THROW(SampleGenerator::embedded_index(tiny.data(), tiny.size()), std::runtime_error);
+}
+
+std::uint64_t xxh64_of(std::string_view s) {
+  return xxh64(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
+TEST(Xxh64, KnownAnswerVectors) {
+  EXPECT_EQ(xxh64_of(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh64_of("abc"), 0x44BC2CF5AD770999ull);
+  // 1024 bytes run the 4-lane stripe loop. The low 32 bits are the zstd
+  // frame checksum: `zstd -c --check FILE | tail -c 4` prints 57 df e4 8f.
+  std::vector<std::uint8_t> ramp;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (int b = 0; b < 256; ++b) ramp.push_back(static_cast<std::uint8_t>(b));
+  }
+  EXPECT_EQ(xxh64(ramp.data(), ramp.size()), 0x6F3914F18FE4DF57ull);
+}
+
+TEST(SampleGenerator, EverySingleBitFlipDetected) {
+  auto spec = presets::tiny(1, 100);
+  spec.size_jitter = 0.0;
+  auto s = SampleGenerator(spec).generate(0);
+  ASSERT_EQ(s.size(), 100u);
+  ASSERT_TRUE(SampleGenerator::validate(s));
+  // Header, body and trailer: all 800 bits.
+  for (std::size_t bit = 0; bit < s.size() * 8; ++bit) {
+    auto flipped = s;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(SampleGenerator::validate(flipped)) << "bit " << bit;
+  }
+}
+
+TEST(SampleGenerator, SwappedBodyWordsDetected) {
+  // 1004 hashed bytes: 31 stripes of 32, then an 8-byte word and 4 bytes.
+  auto spec = presets::tiny(1, 1012);
+  spec.size_jitter = 0.0;
+  auto s = SampleGenerator(spec).generate(0);
+  // Adjacent lanes of one stripe, the same lane of two stripes, and a
+  // stripe word against the 8-byte word after the stripes.
+  const std::size_t pairs[][2] = {{16, 24}, {16, 48}, {40, 992}};
+  for (const auto& [a, b] : pairs) {
+    ASSERT_NE(std::vector<std::uint8_t>(s.begin() + a, s.begin() + a + 8),
+              std::vector<std::uint8_t>(s.begin() + b, s.begin() + b + 8));
+    auto swapped = s;
+    std::swap_ranges(swapped.begin() + a, swapped.begin() + a + 8, swapped.begin() + b);
+    EXPECT_FALSE(SampleGenerator::validate(swapped)) << a << " <-> " << b;
+  }
 }
 
 TEST(SampleGenerator, SizeJitterStaysNearMean) {
