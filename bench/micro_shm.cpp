@@ -65,19 +65,13 @@ Lane make_shm_lane(const char* tag, std::size_t slab_bytes, std::size_t slab_cou
 }
 
 Lane make_tcp_lane(std::size_t hwm) {
-  struct OwningPullSource final : net::MessageSource {
-    explicit OwningPullSource(std::unique_ptr<net::PullSocket> s) : socket(std::move(s)) {}
-    std::optional<Payload> recv() override { return socket->recv(); }
-    void close() override { socket->close(); }
-    std::unique_ptr<net::PullSocket> socket;
-  };
   auto pull = std::make_unique<net::PullSocket>(0, /*queue_capacity=*/hwm,
                                                 /*expected_senders=*/1);
   net::PushPullOptions opts;
   opts.high_water_mark = hwm;
   opts.num_streams = 1;
   auto push = std::make_shared<net::PushSocket>("127.0.0.1", pull->port(), opts);
-  return {.source = std::make_unique<OwningPullSource>(std::move(pull)), .sink = std::move(push)};
+  return {.source = std::move(pull), .sink = std::move(push)};
 }
 
 // ------------------------------------------------- phase 1: transport contract

@@ -9,11 +9,15 @@
 
 namespace emlio::baselines {
 
+namespace {
+constexpr std::size_t kOutputQueueDepth = 8;  // PyTorch's prefetch_factor analogue
+}  // namespace
+
 FileLoader::FileLoader(FileLoaderConfig config, std::shared_ptr<storage::FileStore> store)
     : config_(std::move(config)),
       store_(std::move(store)),
       tasks_(config_.num_workers * 2 + 4),
-      out_(config_.prefetch ? config_.prefetch : 1) {
+      out_(kOutputQueueDepth) {
   if (!store_) throw std::invalid_argument("file loader: null store");
   if (config_.num_samples == 0) throw std::invalid_argument("file loader: empty dataset");
 }

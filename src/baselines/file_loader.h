@@ -30,7 +30,6 @@ struct FileLoaderConfig {
   std::uint64_t num_samples = 0;
   std::size_t batch_size = 32;    ///< B
   std::size_t num_workers = 4;    ///< W — DataLoader worker processes
-  std::size_t prefetch = 8;       ///< output queue depth (prefetch_factor)
   std::uint32_t epochs = 1;
   std::uint64_t seed = 2024;
   bool shuffle = true;

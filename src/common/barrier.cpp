@@ -17,16 +17,4 @@ std::size_t CyclicBarrier::arrive_and_wait() {
   return gen;
 }
 
-bool CyclicBarrier::arrive_and_wait_for(std::chrono::nanoseconds timeout) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::size_t gen = generation_;
-  if (++waiting_ == parties_) {
-    waiting_ = 0;
-    ++generation_;
-    cv_.notify_all();
-    return true;
-  }
-  return cv_.wait_for(lock, timeout, [&] { return generation_ != gen; });
-}
-
 }  // namespace emlio

@@ -4,11 +4,9 @@
 // barrier so every sampling round produces a coherent energy tuple for the
 // same timestamp t_k. std::barrier exists in C++20 but its completion-step
 // typing makes dependency injection awkward; this small class offers
-// arrive_and_wait() with a per-cycle generation counter and an optional
-// timeout used by the monitor's miss-detection path.
+// arrive_and_wait() with a per-cycle generation counter.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -23,12 +21,6 @@ class CyclicBarrier {
   /// Block until all parties arrive. Returns the generation index that was
   /// completed (0-based), i.e. how many full cycles had completed before.
   std::size_t arrive_and_wait();
-
-  /// Like arrive_and_wait but gives up after `timeout`; returns false on
-  /// timeout (the arrival still counts, so stragglers don't deadlock peers).
-  bool arrive_and_wait_for(std::chrono::nanoseconds timeout);
-
-  std::size_t parties() const noexcept { return parties_; }
 
  private:
   const std::size_t parties_;

@@ -77,19 +77,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::optional<T> item;
-    {
-      MutexLock lock(mutex_);
-      if (items_.empty()) return std::nullopt;
-      item.emplace(std::move(items_.front()));
-      items_.pop_front();
-    }
-    not_full_.notify_one();
-    return item;
-  }
-
   /// Close the queue: pending and future pushes fail, pops drain then return
   /// nullopt. Idempotent.
   void close() {

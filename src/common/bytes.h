@@ -50,9 +50,6 @@ class ByteBuffer {
   void push_u32be(std::uint32_t v);
   void push_u64be(std::uint64_t v);
 
-  /// Append an IEEE-754 double in big-endian byte order.
-  void push_f64be(double v);
-
   /// Append raw bytes.
   void push_bytes(std::span<const std::uint8_t> bytes) {
     data_.insert(data_.end(), bytes.begin(), bytes.end());
@@ -79,14 +76,6 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  std::size_t position() const noexcept { return pos_; }
-  bool exhausted() const noexcept { return pos_ >= bytes_.size(); }
-
-  std::uint8_t peek_u8() const {
-    require(1);
-    return bytes_[pos_];
-  }
   std::uint8_t read_u8() {
     require(1);
     return bytes_[pos_++];
@@ -97,7 +86,6 @@ class ByteReader {
   std::uint16_t read_u16le();
   std::uint32_t read_u32le();
   std::uint64_t read_u64le();
-  double read_f64be();
 
   /// Return a view of the next n bytes and advance.
   std::span<const std::uint8_t> read_bytes(std::size_t n) {
@@ -124,11 +112,5 @@ class ByteReader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
-
-/// Convert a byte span to a std::string (for tests and logging).
-std::string to_string(std::span<const std::uint8_t> bytes);
-
-/// Convert a string to an owned byte vector.
-std::vector<std::uint8_t> to_bytes(std::string_view sv);
 
 }  // namespace emlio

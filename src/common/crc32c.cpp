@@ -43,11 +43,6 @@ std::uint32_t mask(std::uint32_t crc) {
   return ((crc >> 15) | (crc << 17)) + kMaskDelta;
 }
 
-std::uint32_t unmask(std::uint32_t masked_crc) {
-  std::uint32_t rot = masked_crc - kMaskDelta;
-  return (rot >> 17) | (rot << 15);
-}
-
 std::uint32_t masked(std::span<const std::uint8_t> bytes) { return mask(compute(bytes)); }
 
 }  // namespace emlio::crc32c

@@ -17,9 +17,6 @@ std::uint32_t compute(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0
 /// CRC-bearing data don't look like valid CRCs.
 std::uint32_t mask(std::uint32_t crc);
 
-/// Inverse of mask().
-std::uint32_t unmask(std::uint32_t masked);
-
 /// Masked CRC32-C of `bytes` — the value TFRecord stores on disk.
 std::uint32_t masked(std::span<const std::uint8_t> bytes);
 

@@ -6,6 +6,20 @@
 
 namespace emlio {
 
+namespace {
+// Dead band: act only when one signal owns at least this share of the
+// window's stall events. Must be > 0.5 or grow and shrink could both
+// qualify; the (kDominance, 1 - kDominance) gap is the hysteresis that keeps
+// a balanced pipeline from flapping.
+constexpr double kDominance = 0.65;
+// Windows with fewer total stall events than this hold: an idle or
+// perfectly balanced window is not evidence to resize on.
+constexpr std::uint64_t kMinEvents = 4;
+// Whole windows to sit out after a resize, so the stepped width shows up in
+// the counters before the next decision.
+constexpr std::uint64_t kCooldownWindows = 1;
+}  // namespace
+
 PoolGovernorConfig PoolGovernorConfig::from_knobs(std::size_t min_threads,
                                                   std::size_t max_threads,
                                                   std::uint64_t interval_ms) {
@@ -105,7 +119,7 @@ void PoolGovernor::run() {
       continue;
     }
     std::uint64_t total = grow_delta + shrink_delta;
-    if (total >= std::max<std::uint64_t>(config_.min_events, 1)) {
+    if (total >= kMinEvents) {
       double grow_share = static_cast<double>(grow_delta) / static_cast<double>(total);
       std::size_t lo = std::max<std::size_t>(config_.min_threads, 1);
       std::size_t hi = std::max(config_.max_threads, lo);
@@ -114,9 +128,9 @@ void PoolGovernor::run() {
       // direction (the constructor already brought the starting width into
       // [lo, hi], so stepping can never leave the band).
       std::size_t next = width;
-      if (grow_share >= config_.dominance) {
+      if (grow_share >= kDominance) {
         if (width < hi) next = width + 1;
-      } else if (1.0 - grow_share >= config_.dominance) {
+      } else if (1.0 - grow_share >= kDominance) {
         if (width > lo) next = width - 1;
       }
       if (next != width) {
@@ -131,7 +145,7 @@ void PoolGovernor::run() {
         } else {
           shrinks_.fetch_add(1, std::memory_order_relaxed);
         }
-        cooldown = config_.cooldown_windows;
+        cooldown = kCooldownWindows;
         log::info("governor ", name_, ": ", next > width ? "grew" : "shrank", " pool ", width,
                   " -> ", next, " (window: ", grow_delta, " grow / ", shrink_delta,
                   " shrink stalls)");

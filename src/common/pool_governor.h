@@ -17,9 +17,9 @@
 // PoolGovernor samples the two counters on a fixed interval, computes each
 // signal's share of the window's stall events, and steps the pool ±1 within
 // [min, max]. Three hysteresis guards keep it from flapping: a dominance
-// dead band (neither signal owning > `dominance` of the window holds the
-// size), a minimum event count (quiet windows hold), and a cooldown of
-// whole windows after every resize (the new width accumulates fresh evidence
+// dead band (neither signal owning >= 65 % of the window holds the size), a
+// minimum event count (quiet windows hold), and a cooldown of one whole
+// window after every resize (the new width accumulates fresh evidence
 // before the next decision). Resizing itself is ThreadPool::
 // set_target_threads — grow spawns, shrink retires workers as they park —
 // so delivered streams stay byte-identical and identically ordered at every
@@ -44,17 +44,6 @@ struct PoolGovernorConfig {
   std::size_t max_threads = 8;
   /// Control period — how often the stall window is evaluated.
   std::chrono::milliseconds interval{20};
-  /// Dead band: act only when one signal owns at least this share of the
-  /// window's stall events. Must be > 0.5 or grow and shrink could both
-  /// qualify; the (dominance, 1 - dominance) gap is the hysteresis that
-  /// keeps a balanced pipeline from flapping.
-  double dominance = 0.65;
-  /// Ignore windows with fewer total stall events than this — an idle or
-  /// perfectly balanced window is not evidence to resize on.
-  std::uint64_t min_events = 4;
-  /// Whole windows to sit out after a resize, so the stepped width shows up
-  /// in the counters before the next decision.
-  std::uint64_t cooldown_windows = 1;
 
   /// Build a config from the per-engine knobs, applying the shared rules
   /// once: min clamped to >= 1, max 0 = auto (hardware concurrency clamped

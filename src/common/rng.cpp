@@ -45,15 +45,9 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  return lo + static_cast<std::int64_t>(uniform(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
 double Rng::uniform01() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
-
-double Rng::uniform_real(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
 
 double Rng::normal(double mean, double stddev) {
   if (have_cached_normal_) {
@@ -71,15 +65,5 @@ double Rng::normal(double mean, double stddev) {
   have_cached_normal_ = true;
   return mean + stddev * r * std::cos(theta);
 }
-
-double Rng::exponential(double rate) {
-  double u;
-  do {
-    u = uniform01();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
-Rng Rng::fork() { return Rng((*this)()); }
 
 }  // namespace emlio

@@ -28,20 +28,11 @@ class Rng {
   /// Uniform integer in [0, bound) with rejection to avoid modulo bias.
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform01();
 
-  /// Uniform double in [lo, hi).
-  double uniform_real(double lo, double hi);
-
   /// Standard normal via Box–Muller (cached pair).
   double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Exponentially distributed value with the given rate (λ).
-  double exponential(double rate);
 
   /// Fisher–Yates shuffle of a vector in place.
   template <typename T>
@@ -52,9 +43,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Derive an independent child generator (for per-thread streams).
-  Rng fork();
 
  private:
   std::uint64_t s_[4];

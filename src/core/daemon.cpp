@@ -65,12 +65,6 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
   build_encode_pool();
 }
 
-std::vector<std::uint32_t> Daemon::shard_ids() const {
-  std::vector<std::uint32_t> out;
-  for (const auto& [id, r] : readers_) out.push_back(id);
-  return out;
-}
-
 DaemonStats Daemon::stats() const {
   // Relaxed loads throughout — see the counter convention on DaemonStats.
   DaemonStats s;

@@ -180,9 +180,6 @@ class Daemon {
   /// Description of the first failure ("" while ok()).
   std::string last_error() const;
 
-  /// Shards owned by this daemon.
-  std::vector<std::uint32_t> shard_ids() const;
-
  private:
   /// One encoded batch queued for a sink, with the metadata its sender
   /// needs for stats and sentinel accounting.

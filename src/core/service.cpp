@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -12,10 +13,18 @@ namespace emlio::core {
 
 namespace {
 
-/// Adapter giving PushSocket shared-ptr MessageSink semantics with
-/// close-on-last-owner.
-std::shared_ptr<net::MessageSink> wrap_push(std::unique_ptr<net::PushSocket> push) {
-  return std::shared_ptr<net::MessageSink>(std::move(push));
+/// Shm slab size: the largest batch this dataset can encode, rounded up to
+/// whole pages. A sample costs at most its framed size + 8 bytes on the wire
+/// (its bin payload is framed size - 16, its msgpack tuple headers at most
+/// 24), and 64 KiB of headroom covers the batch's map keys.
+std::size_t shm_slab_bytes(const std::vector<tfrecord::ShardIndex>& indexes,
+                           std::size_t batch_size) {
+  std::uint64_t largest = 0;
+  for (const auto& idx : indexes) {
+    for (const auto& r : idx.records) largest = std::max(largest, r.framed_size);
+  }
+  const std::size_t bytes = batch_size * (largest + 8) + (64u << 10);
+  return (bytes + 4095) & ~static_cast<std::size_t>(4095);
 }
 
 }  // namespace
@@ -44,37 +53,26 @@ void EmlioService::start() {
   std::unique_ptr<net::MessageSource> source;
 
   if (config_.transport == Transport::kShm) {
-    std::string name = config_.shm_name;
-    if (name.empty()) {
-      // Unique per (process, service instance): parallel test services and
-      // leftover names from unrelated runs cannot collide.
-      static std::atomic<std::uint64_t> seq{0};
-      name = "emlio." + std::to_string(static_cast<unsigned long>(::getpid())) + "." +
-             std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-    }
+    // Unique per (process, service instance): parallel test services and
+    // leftover names from unrelated runs cannot collide. The daemon side
+    // creates the segment and unlinks it at teardown, so nothing leaks.
+    static std::atomic<std::uint64_t> seq{0};
+    const std::string name = "emlio." + std::to_string(static_cast<unsigned long>(::getpid())) +
+                             "." + std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
     net::ShmOptions so;
-    so.slab_bytes = config_.shm_slab_bytes;
+    so.slab_bytes = shm_slab_bytes(indexes_, config_.batch_size);
     so.slab_count = config_.high_water_mark;
     // Sink first (it creates the segment), then attach the source — the
     // same order the two-process tools use, minus the attach-wait.
     sink = std::make_shared<net::ShmMessageSink>(name, so);
     source = std::make_unique<net::ShmMessageSource>(name);
   } else if (config_.transport == Transport::kTcp) {
-    pull_ = std::make_unique<net::PullSocket>(/*port=*/0, config_.high_water_mark);
+    auto pull = std::make_unique<net::PullSocket>(/*port=*/0, config_.high_water_mark);
     net::PushPullOptions opts;
     opts.high_water_mark = config_.high_water_mark;
     opts.num_streams = config_.num_streams;
-    auto push = std::make_unique<net::PushSocket>("127.0.0.1", pull_->port(), opts);
-    sink = wrap_push(std::move(push));
-    // The receiver owns a thin forwarder over the pull socket.
-    struct PullSource final : net::MessageSource {
-      explicit PullSource(net::PullSocket* socket) : socket_(socket) {}
-      std::optional<Payload> recv() override { return socket_->recv(); }
-      void close() override { socket_->close(); }
-      net::SourceEnd end_state() const override { return socket_->end_state(); }
-      net::PullSocket* socket_;
-    };
-    source = std::make_unique<PullSource>(pull_.get());
+    sink = std::make_shared<net::PushSocket>("127.0.0.1", pull->port(), opts);
+    source = std::move(pull);
   } else {
     net::SimLinkConfig link = config_.link;
     link.high_water_mark = config_.high_water_mark;
@@ -148,11 +146,11 @@ std::optional<msgpack::WireBatch> EmlioService::next_batch() {
 
 void EmlioService::stop() {
   if (!started_) return;
-  // Order matters for abnormal shutdown: closing the pull socket first makes
-  // any in-flight daemon send fail fast instead of blocking on a TCP window
-  // that will never reopen.
+  // Order matters for abnormal shutdown: closing the receiver (and with it
+  // its source, the TCP pull socket) before the join makes any in-flight
+  // daemon send fail fast instead of blocking on a TCP window that will
+  // never reopen.
   if (receiver_) receiver_->close();
-  if (pull_) pull_->close();
   if (daemon_thread_.joinable()) daemon_thread_.join();
   started_ = false;
 }

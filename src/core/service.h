@@ -32,7 +32,9 @@ struct ServiceConfig {
   std::uint32_t epochs = 1;           ///< E
   /// ZMQ-style HWM: the transport's in-flight budget (TCP send queue, shm
   /// slab count, in-process link queue), the receiver's shared queue depth
-  /// and the default daemon prefetch depth.
+  /// and the default daemon prefetch depth. A kShm service names its
+  /// segment per process and sizes each slab to hold the largest possible
+  /// batch of this dataset.
   std::size_t high_water_mark = 16;
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
   /// Daemon pipeline: read+encode pool size (0 = auto) and per-sink
@@ -71,12 +73,6 @@ struct ServiceConfig {
   bool verify_crc = false;
   Transport transport = Transport::kInProcess;
   net::SimLinkConfig link;            ///< kInProcess latency/bandwidth model
-  /// kShm knobs. shm_name "" auto-generates a per-process unique name (the
-  /// segment is created by the daemon side and unlinked at teardown, so
-  /// auto-named in-process services never collide or leak). shm_slab_bytes
-  /// caps the encoded batch size; the slab count is high_water_mark.
-  std::string shm_name;
-  std::size_t shm_slab_bytes = 4u << 20;
 };
 
 /// Aggregated run statistics.
@@ -108,7 +104,6 @@ class EmlioService {
   void stop();
 
   const Planner& planner() const { return *planner_; }
-  std::uint64_t dataset_samples() const { return planner_->dataset_size(); }
   ServiceStats stats() const;
   /// Live fault controls of the in-process link (extra latency, one-shot
   /// spikes, drops, sever/restore). Null unless the transport is kInProcess
@@ -124,7 +119,6 @@ class EmlioService {
   std::unique_ptr<Planner> planner_;
   std::vector<tfrecord::ShardIndex> indexes_;
 
-  std::unique_ptr<net::PullSocket> pull_;    // kTcp
   std::shared_ptr<net::SimLinkControl> link_control_;  // kInProcess
   std::unique_ptr<Daemon> daemon_;
   std::unique_ptr<Receiver> receiver_;

@@ -126,13 +126,14 @@ void EnergyMonitor::accumulator() {
     // A round overrun shows up as a jump in the round index. The energy
     // sources integrate since their previous read, so the current reading
     // covers the whole gap: spread it across the missing ticks to keep the
-    // series gapless and energy-conserving.
+    // series gapless and energy-conserving. The first reading fills only its
+    // own tick, whatever round the sampler's first cycle landed in.
     std::uint64_t gap =
         last_round >= 0 ? merged.round - static_cast<std::uint64_t>(last_round) : 1;
     if (gap == 0) gap = 1;
     auto scale = 1.0 / static_cast<double>(gap);
     for (std::uint64_t k = 1; k <= gap; ++k) {
-      std::uint64_t round = static_cast<std::uint64_t>(last_round) + k;
+      std::uint64_t round = merged.round - gap + k;
       tsdb::Point p;
       p.measurement = options_.measurement;
       p.tags["node_id"] = options_.node_id;

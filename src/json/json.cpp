@@ -98,16 +98,6 @@ bool Value::contains(const std::string& key) const {
   return as_object().count(key) != 0;
 }
 
-std::int64_t Value::get_int(const std::string& key, std::int64_t fallback) const {
-  return contains(key) ? at(key).as_int() : fallback;
-}
-double Value::get_double(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_double() : fallback;
-}
-std::string Value::get_string(const std::string& key, const std::string& fallback) const {
-  return contains(key) ? at(key).as_string() : fallback;
-}
-
 void Value::dump_to(std::string& out, int indent, int depth) const {
   auto newline = [&](int d) {
     if (indent >= 0) {

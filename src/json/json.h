@@ -60,10 +60,6 @@ class Value {
   const Value& at(const std::string& key) const;
   /// True if this is an object containing `key`.
   bool contains(const std::string& key) const;
-  /// Object member with fallback when the key is absent.
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  double get_double(const std::string& key, double fallback) const;
-  std::string get_string(const std::string& key, const std::string& fallback) const;
 
   /// Serialize. `indent` < 0 gives compact output; >= 0 pretty-prints.
   std::string dump(int indent = -1) const;

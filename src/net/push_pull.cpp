@@ -41,9 +41,7 @@ PushSocket::~PushSocket() { close(); }
 bool PushSocket::send(Payload message) {
   if (closed_.load(std::memory_order_acquire)) return false;
   std::size_t idx = next_stream_.fetch_add(1, std::memory_order_relaxed) % streams_.size();
-  if (!streams_[idx].queue->push(std::move(message))) return false;
-  sent_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return streams_[idx].queue->push(std::move(message));
 }
 
 void PushSocket::close() {

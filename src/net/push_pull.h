@@ -62,8 +62,6 @@ class PushSocket final : public MessageSink {
     return syscalls_.load(std::memory_order_relaxed);
   }
 
-  std::size_t messages_sent() const noexcept { return sent_.load(std::memory_order_relaxed); }
-  std::size_t num_streams() const noexcept { return streams_.size(); }
 
  private:
   struct Stream {
@@ -75,7 +73,6 @@ class PushSocket final : public MessageSink {
 
   std::vector<Stream> streams_;
   std::atomic<std::size_t> next_stream_{0};
-  std::atomic<std::size_t> sent_{0};
   std::atomic<std::uint64_t> syscalls_{0};
   std::atomic<bool> closed_{false};
 };
@@ -126,11 +123,6 @@ class PullSocket final : public MessageSource {
   /// acceptor/reader threads. Lets a receiver with a known sender population
   /// treat "connections dropped below expected" as a dead sender.
   void set_peer_callback(std::function<void(bool connected)> cb);
-
-  /// Inbound connections that ended with a transport error so far.
-  std::size_t peer_errors() const noexcept {
-    return peer_errors_.load(std::memory_order_relaxed);
-  }
 
   /// The bound port (for connecting PUSH sockets).
   std::uint16_t port() const noexcept { return listener_.port(); }

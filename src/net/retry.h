@@ -42,11 +42,10 @@ struct RetryOptions {
   /// Total attempts allowed, counting the first. 1 = fail fast (no retry),
   /// 0 = unlimited (bounded only by `deadline`, if set).
   std::size_t max_attempts = 1;
-  /// Delay before the first retry; doubles (× `multiplier`) per retry.
+  /// Delay before the first retry; doubles per retry.
   std::chrono::milliseconds initial_backoff{20};
   /// Backoff ceiling.
   std::chrono::milliseconds max_backoff{2000};
-  double multiplier = 2.0;
   /// Fractional jitter: each delay is scaled by a uniform factor in
   /// [1 - jitter, 1 + jitter]. 0 disables jitter entirely.
   double jitter = 0.1;
@@ -72,7 +71,7 @@ class RetryPolicy {
 
     double base_ms = static_cast<double>(opts_.initial_backoff.count());
     for (std::size_t i = 1; i < attempts_; ++i) {
-      base_ms *= opts_.multiplier;
+      base_ms *= 2.0;
       if (base_ms >= static_cast<double>(opts_.max_backoff.count())) break;
     }
     base_ms = std::min(base_ms, static_cast<double>(opts_.max_backoff.count()));

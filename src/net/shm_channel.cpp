@@ -28,7 +28,7 @@ void spin_pause(std::size_t iteration) {
 // --------------------------------------------------------- ShmMessageSink
 
 ShmMessageSink::ShmMessageSink(const std::string& name, const ShmOptions& opts)
-    : seg_(ShmSegment::create(name, ShmSegment::Options{opts.slab_bytes, opts.slab_count})) {}
+    : seg_(ShmSegment::create(name, opts)) {}
 
 ShmMessageSink::~ShmMessageSink() { close(); }
 

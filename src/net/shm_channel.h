@@ -36,11 +36,6 @@
 
 namespace emlio::net {
 
-struct ShmOptions {
-  std::size_t slab_bytes = 4u << 20;  ///< max message size (one encoded batch)
-  std::size_t slab_count = 16;        ///< in-flight budget (HWM analogue)
-};
-
 /// Sender endpoint; owns (creates) the segment and unlinks it on
 /// destruction. Thread-safe: sends are serialized internally, so any number
 /// of sending threads can share it directly.
@@ -63,8 +58,6 @@ class ShmMessageSink final : public MessageSink {
   /// The data plane never enters the kernel: descriptors and bytes travel
   /// through the mapping, and doorbell futexes are parking, not byte moves.
   std::uint64_t data_syscalls() const override { return 0; }
-
-  const std::string& segment_name() const noexcept { return seg_->name(); }
 
  private:
   std::shared_ptr<ShmSegment> seg_;

@@ -206,7 +206,8 @@ bool ShmSegment::wait(ShmDoorbell& bell, std::uint32_t seen_seq,
 
 // ----------------------------------------------------------- create/attach
 
-std::shared_ptr<ShmSegment> ShmSegment::create(const std::string& raw_name, const Options& opts) {
+std::shared_ptr<ShmSegment> ShmSegment::create(const std::string& raw_name,
+                                               const ShmOptions& opts) {
   if (opts.slab_bytes == 0 || opts.slab_count == 0) {
     throw std::invalid_argument("shm segment needs slab_bytes > 0 and slab_count > 0");
   }

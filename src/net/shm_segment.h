@@ -118,20 +118,21 @@ constexpr std::uint32_t shm_desc_length(std::uint64_t desc) {
   return static_cast<std::uint32_t>(desc);
 }
 
+/// Segment geometry, chosen by the creating (daemon) side.
+struct ShmOptions {
+  std::size_t slab_bytes = 4u << 20;  ///< max message size (one encoded batch)
+  std::size_t slab_count = 16;        ///< in-flight budget (HWM analogue)
+};
+
 /// A mapped shared-memory segment, shared_ptr-managed because Payloads whose
 /// release closures return slabs to the free ring may outlive the channel
 /// endpoints. The creator unlinks the shm name when the last reference in
 /// its process drops.
 class ShmSegment {
  public:
-  struct Options {
-    std::size_t slab_bytes = 4u << 20;  ///< max message size (one batch)
-    std::size_t slab_count = 16;        ///< in-flight budget = HWM analogue
-  };
-
   /// Create a fresh segment (the daemon side). Unlinks any stale leftover of
   /// the same name first, then shm_open(O_CREAT|O_EXCL). Throws on failure.
-  static std::shared_ptr<ShmSegment> create(const std::string& name, const Options& opts);
+  static std::shared_ptr<ShmSegment> create(const std::string& name, const ShmOptions& opts);
 
   /// Attach to an existing segment (the receiver side). Returns nullptr when
   /// the name does not exist yet or the creator is still initializing (both

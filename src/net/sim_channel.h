@@ -23,8 +23,7 @@ struct SimLinkConfig {
   double rtt_ms = 0.0;                     ///< round-trip time; one-way = rtt/2
   double bandwidth_bytes_per_sec = 1.25e9; ///< 10 Gbps default
   std::size_t high_water_mark = 16;        ///< in-flight message cap (HWM)
-  double jitter_stddev_ms = 0.0;           ///< Gaussian jitter on one-way latency
-  std::uint64_t seed = 42;                 ///< jitter RNG seed
+  std::uint64_t seed = 42;                 ///< drop RNG seed
 };
 
 /// Handle for fault injection while a channel is live. All methods are safe

@@ -65,7 +65,6 @@ class TcpStream {
   void shutdown_send() noexcept;
 
   bool valid() const noexcept { return fd_.valid(); }
-  int native_handle() const noexcept { return fd_.get(); }
 
  private:
   Fd fd_;

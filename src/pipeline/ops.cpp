@@ -34,36 +34,6 @@ Decoded decode(std::span<const std::uint8_t> encoded, std::int64_t label, std::u
   return out;
 }
 
-Tensor resize(const Tensor& in, std::uint32_t h, std::uint32_t w) {
-  if (in.height == 0 || in.width == 0) throw std::invalid_argument("resize: empty input");
-  Tensor out = Tensor::zeros(h, w, in.channels);
-  for (std::uint32_t y = 0; y < h; ++y) {
-    // Map output pixel centers back into input space (align-corners=false).
-    float sy = (static_cast<float>(y) + 0.5f) * static_cast<float>(in.height) /
-                   static_cast<float>(h) -
-               0.5f;
-    sy = std::clamp(sy, 0.0f, static_cast<float>(in.height - 1));
-    auto y0 = static_cast<std::uint32_t>(sy);
-    std::uint32_t y1 = std::min(y0 + 1, in.height - 1);
-    float fy = sy - static_cast<float>(y0);
-    for (std::uint32_t x = 0; x < w; ++x) {
-      float sx = (static_cast<float>(x) + 0.5f) * static_cast<float>(in.width) /
-                     static_cast<float>(w) -
-                 0.5f;
-      sx = std::clamp(sx, 0.0f, static_cast<float>(in.width - 1));
-      auto x0 = static_cast<std::uint32_t>(sx);
-      std::uint32_t x1 = std::min(x0 + 1, in.width - 1);
-      float fx = sx - static_cast<float>(x0);
-      for (std::uint32_t c = 0; c < in.channels; ++c) {
-        float top = in.at(y0, x0, c) * (1 - fx) + in.at(y0, x1, c) * fx;
-        float bot = in.at(y1, x0, c) * (1 - fx) + in.at(y1, x1, c) * fx;
-        out.at(y, x, c) = top * (1 - fy) + bot * fy;
-      }
-    }
-  }
-  return out;
-}
-
 Tensor crop(const Tensor& in, std::uint32_t y0, std::uint32_t x0, std::uint32_t h,
             std::uint32_t w) {
   if (y0 + h > in.height || x0 + w > in.width) {

@@ -5,8 +5,8 @@
 // and body byte (end-to-end integrity from shard build to training) and
 // gathers the encoded bytes into a deterministic thumbnail tensor. The
 // geometric/statistical ops are faithful implementations over that tensor
-// (bilinear resize, bounds-checked crop, mean/std normalize,
-// deterministic-seed horizontal mirror).
+// (bounds-checked crop, mean/std normalize, deterministic-seed horizontal
+// mirror).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +28,6 @@ struct Decoded {
 /// a deterministic function of the byte stream, in [0, 255].
 Decoded decode(std::span<const std::uint8_t> encoded, std::int64_t label,
                std::uint32_t out_height = 32, std::uint32_t out_width = 32);
-
-/// Bilinear resize to (h, w).
-Tensor resize(const Tensor& in, std::uint32_t h, std::uint32_t w);
 
 /// Crop the rectangle at (y0, x0) of size (h, w). Throws std::out_of_range
 /// if the rectangle leaves the image.

@@ -6,6 +6,13 @@
 
 namespace emlio::pipeline {
 
+namespace {
+// Every sample decodes to a kDecodeSize² thumbnail, is randomly cropped to
+// kCropSize² and randomly mirrored.
+constexpr std::uint32_t kDecodeSize = 32;
+constexpr std::uint32_t kCropSize = 28;
+}  // namespace
+
 Pipeline::Pipeline(PipelineConfig config, ExternalSource source)
     : config_(config),
       source_(std::move(source)),
@@ -73,22 +80,16 @@ PreprocessedBatch Pipeline::preprocess(msgpack::WireBatch batch) {
   std::uint64_t failures = 0;
   for (const auto& s : batch.samples) {
     Decoded d = decode(std::span<const std::uint8_t>(s.bytes.data(), s.bytes.size()), s.label,
-                       config_.decode_height, config_.decode_width);
+                       kDecodeSize, kDecodeSize);
     if (!d.checksum_ok) ++failures;
 
     // Deterministic per-sample augmentation stream (same sample, same epoch
     // → same augmentation; different epochs reshuffle via the seed mix).
     Rng rng(config_.augment_seed ^ (s.index * 0x9E3779B97F4A7C15ull) ^ batch.epoch);
-    if (config_.crop > 0 && config_.crop <= d.image.height && config_.crop <= d.image.width) {
-      auto max_y = d.image.height - config_.crop;
-      auto max_x = d.image.width - config_.crop;
-      auto y0 = static_cast<std::uint32_t>(rng.uniform(max_y + 1));
-      auto x0 = static_cast<std::uint32_t>(rng.uniform(max_x + 1));
-      d.image = crop(d.image, y0, x0, config_.crop, config_.crop);
-    }
-    if (config_.train_mirror) {
-      d.image = mirror(std::move(d.image), rng.uniform01() < 0.5);
-    }
+    auto y0 = static_cast<std::uint32_t>(rng.uniform(kDecodeSize - kCropSize + 1));
+    auto x0 = static_cast<std::uint32_t>(rng.uniform(kDecodeSize - kCropSize + 1));
+    d.image = crop(d.image, y0, x0, kCropSize, kCropSize);
+    d.image = mirror(std::move(d.image), rng.uniform01() < 0.5);
     d.image = normalize(std::move(d.image), kMean, kStd);
     out.samples.push_back(std::move(d));
   }

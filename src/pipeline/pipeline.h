@@ -1,7 +1,7 @@
 // DALI-style asynchronous preprocessing pipeline (paper §4.4, Algorithm 3).
 //
 // An ExternalSource callback feeds wire batches (EMLIO's BatchProvider, or
-// any loader); `num_threads` decode workers run decode→resize→crop→mirror→
+// any loader); `num_threads` decode workers run decode→crop→mirror→
 // normalize concurrently with the consumer (DALI's exec_async /
 // exec_pipelined, §4.5); results land in a prefetch queue of depth Q.
 // run() pops one preprocessed batch — the pipe.run() of Algorithm 3 line 7.
@@ -32,10 +32,6 @@ using ExternalSource = std::function<std::optional<msgpack::WireBatch>()>;
 struct PipelineConfig {
   std::size_t prefetch_depth = 4;   ///< Q — prefetched preprocessed batches
   std::size_t num_threads = 2;     ///< decode worker threads
-  std::uint32_t decode_height = 32;
-  std::uint32_t decode_width = 32;
-  std::uint32_t crop = 28;          ///< random-crop output size (0 = off)
-  bool train_mirror = true;         ///< random horizontal flip
   std::uint64_t augment_seed = 99;
 };
 

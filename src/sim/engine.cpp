@@ -19,18 +19,11 @@ void Engine::step() {
   Event ev = std::move(const_cast<Event&>(queue_.top()));
   queue_.pop();
   now_ = ev.time;
-  ++processed_;
   ev.fn();
 }
 
 Nanos Engine::run() {
   while (!queue_.empty()) step();
-  return now_;
-}
-
-Nanos Engine::run_until(Nanos deadline) {
-  while (!queue_.empty() && queue_.top().time <= deadline) step();
-  if (now_ < deadline) now_ = deadline;
   return now_;
 }
 

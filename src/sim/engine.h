@@ -34,13 +34,6 @@ class Engine : public Clock {
   /// Run until the event queue empties. Returns final virtual time.
   Nanos run();
 
-  /// Run until virtual time `deadline` (events at exactly `deadline` run).
-  /// Returns the time of the last processed event.
-  Nanos run_until(Nanos deadline);
-
-  std::uint64_t events_processed() const noexcept { return processed_; }
-  bool empty() const noexcept { return queue_.empty(); }
-
  private:
   struct Event {
     Nanos time;
@@ -58,7 +51,6 @@ class Engine : public Clock {
 
   Nanos now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

@@ -10,10 +10,6 @@ Pipe::Pipe(Engine& engine, double bandwidth_bytes_per_sec, Nanos latency, Utiliz
       latency_(latency),
       meter_(meter) {}
 
-Nanos Pipe::unloaded_time(std::uint64_t bytes) const {
-  return static_cast<Nanos>(static_cast<double>(bytes) / bandwidth_ * 1e9) + latency_;
-}
-
 void Pipe::transfer(std::uint64_t bytes, std::function<void()> done) {
   transfer_with_latency(bytes, 0, std::move(done));
 }
@@ -24,7 +20,6 @@ void Pipe::transfer_with_latency(std::uint64_t bytes, Nanos extra_latency,
   Nanos start = std::max(now, busy_until_);
   auto tx = static_cast<Nanos>(static_cast<double>(bytes) / bandwidth_ * 1e9);
   busy_until_ = start + tx;
-  bytes_total_ += bytes;
   Nanos deliver = busy_until_ + latency_ + extra_latency;
   if (meter_) {
     meter_->begin_work();

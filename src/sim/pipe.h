@@ -37,20 +37,12 @@ class Pipe {
   void transfer_with_latency(std::uint64_t bytes, Nanos extra_latency,
                              std::function<void()> done);
 
-  /// The time a transfer of `bytes` would take if started now (no queue).
-  Nanos unloaded_time(std::uint64_t bytes) const;
-
-  double bandwidth() const noexcept { return bandwidth_; }
-  Nanos latency() const noexcept { return latency_; }
-  std::uint64_t bytes_transferred() const noexcept { return bytes_total_; }
-
  private:
   Engine* engine_;
   double bandwidth_;
   Nanos latency_;
   UtilizationMeter* meter_;
   Nanos busy_until_ = 0;
-  std::uint64_t bytes_total_ = 0;
 };
 
 /// A pool of `workers` identical servers with FCFS queueing.
@@ -60,9 +52,6 @@ class Server {
 
   /// Request `service_time` of work; `done` fires when a worker finishes it.
   void submit(Nanos service_time, std::function<void()> done);
-
-  std::size_t workers() const noexcept { return workers_; }
-  std::size_t queue_depth() const noexcept { return queue_.size(); }
 
  private:
   struct Job {

@@ -58,26 +58,4 @@ std::size_t ShardReader::verify_all() const {
   return count;
 }
 
-ShardIndex ShardReader::rebuild_index(std::uint32_t shard_id, const std::string& shard_path) {
-  MmapFile map(shard_path);
-  ShardIndex idx;
-  idx.shard_id = shard_id;
-  idx.shard_path = shard_path;
-  idx.file_bytes = map.size();
-  auto view = map.view();
-  std::size_t pos = 0;
-  std::uint64_t i = 0;
-  while (pos < view.size()) {
-    auto parsed = read_record(view.subspan(pos));
-    RecordEntry e;
-    e.offset = pos;
-    e.framed_size = parsed.framed_size;
-    e.label = 0;
-    e.sample_index = i++;
-    idx.records.push_back(e);
-    pos += parsed.framed_size;
-  }
-  return idx;
-}
-
 }  // namespace emlio::tfrecord

@@ -43,11 +43,6 @@ class ShardReader {
   /// Returns the number of records seen; throws on corruption.
   std::size_t verify_all() const;
 
-  /// Rebuild an index by scanning a shard file (recovery path when the
-  /// mapping JSON is lost). Labels/sample ids are not recoverable from the
-  /// framing alone and are set to 0 / position.
-  static ShardIndex rebuild_index(std::uint32_t shard_id, const std::string& shard_path);
-
  private:
   ShardIndex index_;
   MmapFile map_;

@@ -33,9 +33,6 @@ class ShardWriter {
   /// Flush, close the file, and return the completed index.
   ShardIndex finish();
 
-  std::size_t records_written() const noexcept { return index_.records.size(); }
-  std::uint64_t bytes_written() const noexcept { return offset_; }
-
  private:
   std::ofstream out_;
   std::uint64_t offset_ = 0;

@@ -56,6 +56,4 @@ EpochResult Trainer::end_epoch() {
   return current_;
 }
 
-double Trainer::current_loss() const { return options_.loss.expected(total_samples_); }
-
 }  // namespace emlio::train

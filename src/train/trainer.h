@@ -58,7 +58,6 @@ class Trainer {
   EpochResult end_epoch();
 
   std::uint64_t total_samples() const noexcept { return total_samples_; }
-  double current_loss() const;
 
  private:
   TrainerOptions options_;

@@ -108,6 +108,36 @@ TEST_F(CoreIntegrationTest, ShmTransportDeliversSameGuarantees) {
   EXPECT_EQ(stats.daemon.wire_syscalls, 0u);  // the zero-syscall lane audit
 }
 
+TEST_F(CoreIntegrationTest, ShmSlabFitsBatchesLargerThanFourMiB) {
+  // 8 × 600 KB records make a ~4.8 MB batch. The service sizes each slab
+  // from the dataset's largest record, so a batch this large still travels,
+  // with a slab ring only two slabs deep.
+  const fs::path big = dir_ / "big";
+  fs::create_directories(big);
+  const auto spec = workload::presets::tiny(24, 600'000);
+  workload::materialize_tfrecord(spec, big.string(), 2);
+  auto cfg = base_config();
+  cfg.dataset_dir = big.string();
+  cfg.transport = Transport::kShm;
+  cfg.high_water_mark = 2;
+  ASSERT_GT(cfg.batch_size * spec.bytes_per_sample, std::size_t{4} << 20);
+  EmlioService service(cfg);
+  service.start();
+  train::TrainerOptions topt;
+  topt.expected_samples_per_epoch = spec.num_samples;
+  train::Trainer trainer(topt);
+  trainer.start_epoch(0);
+  while (auto batch = service.next_batch()) {
+    if (batch->last) break;
+    trainer.train_step(*batch);
+  }
+  auto result = trainer.end_epoch();
+  service.stop();
+  EXPECT_TRUE(result.clean(spec.num_samples)) << "dups=" << result.duplicate_samples
+                                              << " corrupt=" << result.corrupt_samples;
+  EXPECT_EQ(service.stats().receiver.samples_received, spec.num_samples);
+}
+
 TEST_F(CoreIntegrationTest, ShmStreamIsByteIdenticalToInProcess) {
   // Same seed, deterministic engines (the daemon's wire order is batch-id
   // sorted per sink, the receiver re-sequences to arrival order): the

@@ -1,6 +1,7 @@
 // Tests for power models/sources, the Algorithm-1 EnergyMonitor, and reports.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "energy/monitor.h"
@@ -219,6 +220,52 @@ TEST(EnergyMonitor, InterpolatesMissedIntervals) {
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].timestamp - rows[i - 1].timestamp, opt.interval) << i;
   }
+}
+
+/// Steady time, except that every call after the first reads `skew` ahead:
+/// the monitor's start() takes the first reading, so its sampler's first
+/// cycle lands `skew` late.
+class LateFirstCycleClock final : public Clock {
+ public:
+  explicit LateFirstCycleClock(Nanos skew) : skew_(skew) {}
+  Nanos now() const override {
+    const Nanos t = SteadyClock::instance().now();
+    if (first_.exchange(false)) {
+      t0_ = t;
+      return t;
+    }
+    return t + skew_;
+  }
+  Nanos t0() const { return t0_; }
+
+ private:
+  Nanos skew_;
+  mutable std::atomic<bool> first_{true};
+  mutable std::atomic<Nanos> t0_{0};
+};
+
+TEST(EnergyMonitor, FirstReadingStampedAtItsOwnRound) {
+  // The sampler's first cycle sees 2.5 δ elapsed, so it reads round 2. The
+  // series must start at tick 2 and stay on the δ-grid from there, not
+  // start at tick 0 with a hole before the next reading.
+  tsdb::Database db;
+  MonitorOptions opt;
+  opt.interval = from_millis(50);
+  LateFirstCycleClock clock(opt.interval * 5 / 2);
+  const auto& steady = SteadyClock::instance();
+  auto cpu = std::make_shared<SyntheticPowerSource>("cpu", steady, 10.0);
+  auto dram = std::make_shared<SyntheticPowerSource>("memory", steady, 1.0);
+  EnergyMonitor monitor(opt, clock, db, cpu, dram);
+  monitor.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  monitor.stop();
+
+  tsdb::Query q;
+  q.measurement = "energy";
+  auto rows = db.select(q);
+  ASSERT_GE(rows.size(), 2u);
+  EXPECT_EQ(rows[0].timestamp, clock.t0() + 2 * opt.interval);
+  EXPECT_EQ(rows[1].timestamp - rows[0].timestamp, opt.interval);
 }
 
 TEST(EnergyReport, AggregatesPerNodeAndTotal) {

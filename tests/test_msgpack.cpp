@@ -1,6 +1,11 @@
 // Unit + property tests for the MessagePack codec and the batch wire format.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "msgpack/batch_codec.h"
 #include "msgpack/msgpack.h"
@@ -8,147 +13,229 @@
 namespace emlio::msgpack {
 namespace {
 
-std::vector<std::uint8_t> enc(const Value& v) { return encode(v); }
+/// Bytes one Encoder call writes.
+template <typename Pack>
+std::vector<std::uint8_t> enc(Pack&& pack) {
+  ByteBuffer buf;
+  Encoder e(buf);
+  pack(e);
+  return buf.take();
+}
 
-TEST(Msgpack, NilBoolWireBytes) {
-  EXPECT_EQ(enc(Value(nullptr)), (std::vector<std::uint8_t>{0xC0}));
-  EXPECT_EQ(enc(Value(true)), (std::vector<std::uint8_t>{0xC3}));
-  EXPECT_EQ(enc(Value(false)), (std::vector<std::uint8_t>{0xC2}));
+std::vector<std::uint8_t> enc_uint(std::uint64_t v) {
+  return enc([&](Encoder& e) { e.pack_uint(v); });
+}
+std::vector<std::uint8_t> enc_int(std::int64_t v) {
+  return enc([&](Encoder& e) { e.pack_int(v); });
+}
+std::vector<std::uint8_t> enc_string(const std::string& s) {
+  return enc([&](Encoder& e) { e.pack_string(s); });
+}
+std::vector<std::uint8_t> enc_bin(std::size_t n) {
+  const std::vector<std::uint8_t> bytes(n, 0);
+  return enc([&](Encoder& e) { e.pack_bin(bytes); });
+}
+
+TEST(Msgpack, BoolWireBytes) {
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_bool(true); }), (std::vector<std::uint8_t>{0xC3}));
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_bool(false); }), (std::vector<std::uint8_t>{0xC2}));
 }
 
 TEST(Msgpack, PositiveFixintWire) {
-  EXPECT_EQ(enc(Value(0)), (std::vector<std::uint8_t>{0x00}));
-  EXPECT_EQ(enc(Value(127)), (std::vector<std::uint8_t>{0x7F}));
+  EXPECT_EQ(enc_uint(0), (std::vector<std::uint8_t>{0x00}));
+  EXPECT_EQ(enc_uint(127), (std::vector<std::uint8_t>{0x7F}));
+  EXPECT_EQ(enc_int(127), (std::vector<std::uint8_t>{0x7F}));  // non-negative ints pack as uint
 }
 
 TEST(Msgpack, NegativeFixintWire) {
-  EXPECT_EQ(enc(Value(-1)), (std::vector<std::uint8_t>{0xFF}));
-  EXPECT_EQ(enc(Value(-32)), (std::vector<std::uint8_t>{0xE0}));
+  EXPECT_EQ(enc_int(-1), (std::vector<std::uint8_t>{0xFF}));
+  EXPECT_EQ(enc_int(-32), (std::vector<std::uint8_t>{0xE0}));
 }
 
 TEST(Msgpack, IntWidthSelection) {
-  EXPECT_EQ(enc(Value(128))[0], 0xCC);               // uint8
-  EXPECT_EQ(enc(Value(256))[0], 0xCD);               // uint16
-  EXPECT_EQ(enc(Value(70000))[0], 0xCE);             // uint32
-  EXPECT_EQ(enc(Value(std::uint64_t(1) << 40))[0], 0xCF);  // uint64
-  EXPECT_EQ(enc(Value(-33))[0], 0xD0);               // int8
-  EXPECT_EQ(enc(Value(-1000))[0], 0xD1);             // int16
-  EXPECT_EQ(enc(Value(-100000))[0], 0xD2);           // int32
-  EXPECT_EQ(enc(Value(std::int64_t(-1) << 40))[0], 0xD3);  // int64
+  EXPECT_EQ(enc_uint(128)[0], 0xCC);                   // uint8
+  EXPECT_EQ(enc_uint(256)[0], 0xCD);                   // uint16
+  EXPECT_EQ(enc_uint(70000)[0], 0xCE);                 // uint32
+  EXPECT_EQ(enc_uint(std::uint64_t(1) << 40)[0], 0xCF);  // uint64
+  EXPECT_EQ(enc_int(-33)[0], 0xD0);                    // int8
+  EXPECT_EQ(enc_int(-1000)[0], 0xD1);                  // int16
+  EXPECT_EQ(enc_int(-100000)[0], 0xD2);                // int32
+  EXPECT_EQ(enc_int(std::int64_t(-1) << 40)[0], 0xD3);   // int64
 }
 
 TEST(Msgpack, FixstrWire) {
-  auto bytes = enc(Value("abc"));
-  EXPECT_EQ(bytes[0], 0xA3);
-  EXPECT_EQ(bytes.size(), 4u);
+  auto bytes = enc_string("abc");
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0xA3, 'a', 'b', 'c'}));
 }
 
 TEST(Msgpack, StringWidths) {
-  EXPECT_EQ(enc(Value(std::string(40, 'x')))[0], 0xD9);    // str8
-  EXPECT_EQ(enc(Value(std::string(300, 'x')))[0], 0xDA);   // str16
-  EXPECT_EQ(enc(Value(std::string(70000, 'x')))[0], 0xDB); // str32
+  EXPECT_EQ(enc_string(std::string(40, 'x'))[0], 0xD9);     // str8
+  EXPECT_EQ(enc_string(std::string(300, 'x'))[0], 0xDA);    // str16
+  EXPECT_EQ(enc_string(std::string(70000, 'x'))[0], 0xDB);  // str32
 }
 
 TEST(Msgpack, BinWidths) {
-  EXPECT_EQ(enc(Value(Bin(10, 0)))[0], 0xC4);
-  EXPECT_EQ(enc(Value(Bin(300, 0)))[0], 0xC5);
-  EXPECT_EQ(enc(Value(Bin(70000, 0)))[0], 0xC6);
+  EXPECT_EQ(enc_bin(10)[0], 0xC4);
+  EXPECT_EQ(enc_bin(300)[0], 0xC5);
+  EXPECT_EQ(enc_bin(70000)[0], 0xC6);
 }
 
 TEST(Msgpack, ArrayAndMapHeaders) {
-  EXPECT_EQ(enc(Value(Array{}))[0], 0x90);
-  EXPECT_EQ(enc(Value(Array(20, Value(1))))[0], 0xDC);
-  Map small{{"k", Value(1)}};
-  EXPECT_EQ(enc(Value(small))[0], 0x81);
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_array_header(0); }), (std::vector<std::uint8_t>{0x90}));
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_array_header(20); })[0], 0xDC);
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_array_header(70000); })[0], 0xDD);
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_map_header(1); }), (std::vector<std::uint8_t>{0x81}));
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_map_header(20); })[0], 0xDE);
+  EXPECT_EQ(enc([](Encoder& e) { e.pack_map_header(70000); })[0], 0xDF);
 }
 
 TEST(Msgpack, RoundTripScalars) {
   for (std::int64_t v : {0LL, 1LL, -1LL, 127LL, 128LL, -32LL, -33LL, 65535LL, -65536LL,
                          1LL << 40, -(1LL << 40)}) {
-    auto decoded = decode(enc(Value(v)));
-    EXPECT_EQ(decoded.as_int(), v) << v;
+    auto bytes = enc_int(v);
+    Decoder dec(bytes);
+    EXPECT_EQ(dec.next_int(), v) << v;
   }
 }
 
 TEST(Msgpack, RoundTripUint64Max) {
   std::uint64_t big = ~0ull;
-  EXPECT_EQ(decode(enc(Value(big))).as_uint(), big);
-}
-
-TEST(Msgpack, RoundTripDouble) {
-  for (double v : {0.0, -2.5, 3.14159, 1e300, -1e-300}) {
-    EXPECT_DOUBLE_EQ(decode(enc(Value(v))).as_double(), v);
-  }
-}
-
-TEST(Msgpack, RoundTripNested) {
-  Map m;
-  m["list"] = Value(Array{Value(1), Value("two"), Value(Bin{1, 2, 3})});
-  m["inner"] = Value(Map{{"x", Value(true)}});
-  auto d = decode(enc(Value(m)));
-  EXPECT_EQ(d.at("list").as_array()[1].as_string(), "two");
-  EXPECT_EQ(d.at("list").as_array()[2].as_bin(), (Bin{1, 2, 3}));
-  EXPECT_TRUE(d.at("inner").at("x").as_bool());
+  auto bytes = enc_uint(big);
+  EXPECT_EQ(Decoder(bytes).next_uint(), big);
+  // Above INT64_MAX the value has no signed reading.
+  EXPECT_THROW(Decoder(bytes).next_int(), std::runtime_error);
 }
 
 TEST(Msgpack, DecodeTruncatedThrows) {
-  auto bytes = enc(Value("hello world"));
+  auto bytes = enc_string("hello world");
   // Clamped subtraction: GCC 12 flags a bare size()-3 resize as a possible
   // wraparound (stringop-overflow) under -O3 -fsanitize=address.
   bytes.resize(bytes.size() < 3 ? 0 : bytes.size() - 3);
-  EXPECT_THROW(decode(bytes), std::out_of_range);
+  EXPECT_THROW(Decoder(bytes).next_string_view(), std::out_of_range);
+  EXPECT_THROW(Decoder(bytes).skip_value(), std::out_of_range);
 }
 
-TEST(Msgpack, TypeAccessorsThrow) {
-  auto v = decode(enc(Value(5)));
-  EXPECT_THROW(v.as_string(), std::runtime_error);
-  EXPECT_THROW(v.as_map(), std::runtime_error);
-  EXPECT_THROW(Value(-1).as_uint(), std::runtime_error);
+TEST(Msgpack, TypedAccessorsRejectWrongWireType) {
+  auto five = enc_int(5);
+  EXPECT_THROW(Decoder(five).next_string_view(), std::runtime_error);
+  EXPECT_THROW(Decoder(five).next_map_header(), std::runtime_error);
+  EXPECT_THROW(Decoder(five).next_bin_view(), std::runtime_error);
+  EXPECT_THROW(Decoder(five).next_bool(), std::runtime_error);
+  EXPECT_THROW(Decoder(enc_int(-1)).next_uint(), std::runtime_error);
+  EXPECT_THROW(Decoder(enc_string("x")).next_int(), std::runtime_error);
+  EXPECT_THROW(Decoder(enc_string("x")).next_array_header(), std::runtime_error);
 }
 
-// Property-style round-trip over randomly generated value trees.
+TEST(Msgpack, SkipValueCoversNilAndFloats) {
+  // The encoder never writes nil or floats, but a newer sender's unknown
+  // keys may carry them: skip_value must step over each exactly.
+  const std::vector<std::uint8_t> bytes{
+      0xC0,                                            // nil
+      0xCA, 0x3F, 0x80, 0x00, 0x00,                    // float32 1.0
+      0xCB, 0x40, 0x09, 0x21, 0xFB, 0x54, 0x44, 0x2D, 0x18,  // float64 pi
+      0x07};                                           // fixint 7
+  Decoder dec(bytes);
+  dec.skip_value();
+  dec.skip_value();
+  dec.skip_value();
+  EXPECT_EQ(dec.next_uint(), 7u);
+  EXPECT_THROW(Decoder(std::vector<std::uint8_t>{0xC1}).skip_value(), std::runtime_error);
+}
+
+// Property-style round trip: a random sequence of typed values, nested in
+// arrays and maps, must read back value-for-value through the typed
+// accessors, and skip_value must step over the same bytes one value at a
+// time.
 class MsgpackPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-Value random_value(Rng& rng, int depth) {
-  std::uint64_t kind = rng.uniform(depth > 3 ? 6 : 8);
-  switch (kind) {
-    case 0: return Value(nullptr);
-    case 1: return Value(rng.uniform(2) == 1);
-    case 2: return Value(static_cast<std::int64_t>(rng()) >> rng.uniform(40));
-    case 3: return Value(rng.normal(0, 1e6));
-    case 4: {
-      std::string s;
+struct Item {
+  enum Kind { kBool, kInt, kUint, kString, kBin, kArray, kMap } kind = kBool;
+  std::int64_t i = 0;
+  std::uint64_t u = 0;
+  std::string str;
+  std::vector<std::uint8_t> bin;
+  std::vector<Item> children;  // kArray elements; kMap alternates key, value
+};
+
+Item random_item(Rng& rng, int depth) {
+  Item it;
+  it.kind = static_cast<Item::Kind>(rng.uniform(depth > 3 ? 5 : 7));
+  switch (it.kind) {
+    case Item::kBool: it.u = rng.uniform(2); break;
+    case Item::kInt: it.i = static_cast<std::int64_t>(rng()) >> rng.uniform(64); break;
+    case Item::kUint: it.u = rng() >> rng.uniform(64); break;
+    case Item::kString:
       for (std::uint64_t i = rng.uniform(40); i > 0; --i)
-        s += static_cast<char>('a' + rng.uniform(26));
-      return Value(std::move(s));
-    }
-    case 5: {
-      Bin b(rng.uniform(64));
-      for (auto& x : b) x = static_cast<std::uint8_t>(rng());
-      return Value(std::move(b));
-    }
-    case 6: {
-      Array a;
-      for (std::uint64_t i = rng.uniform(5); i > 0; --i) a.push_back(random_value(rng, depth + 1));
-      return Value(std::move(a));
-    }
-    default: {
-      Map m;
+        it.str += static_cast<char>('a' + rng.uniform(26));
+      break;
+    case Item::kBin:
+      it.bin.resize(rng.uniform(64));
+      for (auto& x : it.bin) x = static_cast<std::uint8_t>(rng());
+      break;
+    case Item::kArray:
+      for (std::uint64_t i = rng.uniform(5); i > 0; --i)
+        it.children.push_back(random_item(rng, depth + 1));
+      break;
+    case Item::kMap:
       for (std::uint64_t i = rng.uniform(5); i > 0; --i) {
-        m["k" + std::to_string(rng.uniform(100))] = random_value(rng, depth + 1);
+        Item key;
+        key.kind = Item::kString;
+        key.str = "k";
+        key.str += std::to_string(rng.uniform(100));
+        it.children.push_back(std::move(key));
+        it.children.push_back(random_item(rng, depth + 1));
       }
-      return Value(std::move(m));
-    }
+      break;
   }
+  return it;
 }
 
-TEST_P(MsgpackPropertyTest, RandomTreeRoundTrips) {
-  Rng rng(GetParam());
-  for (int i = 0; i < 50; ++i) {
-    Value v = random_value(rng, 0);
-    Value back = decode(encode(v));
-    EXPECT_TRUE(back == v);
+void pack_item(Encoder& e, const Item& it) {
+  switch (it.kind) {
+    case Item::kBool: e.pack_bool(it.u != 0); break;
+    case Item::kInt: e.pack_int(it.i); break;
+    case Item::kUint: e.pack_uint(it.u); break;
+    case Item::kString: e.pack_string(it.str); break;
+    case Item::kBin: e.pack_bin(it.bin); break;
+    case Item::kArray: e.pack_array_header(it.children.size()); break;
+    case Item::kMap: e.pack_map_header(it.children.size() / 2); break;
   }
+  for (const auto& child : it.children) pack_item(e, child);
+}
+
+void expect_item(Decoder& d, const Item& it) {
+  switch (it.kind) {
+    case Item::kBool: EXPECT_EQ(d.next_bool(), it.u != 0); break;
+    case Item::kInt: EXPECT_EQ(d.next_int(), it.i); break;
+    case Item::kUint: EXPECT_EQ(d.next_uint(), it.u); break;
+    case Item::kString: EXPECT_EQ(d.next_string_view(), it.str); break;
+    case Item::kBin: {
+      auto view = d.next_bin_view();
+      EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), it.bin);
+      break;
+    }
+    case Item::kArray: EXPECT_EQ(d.next_array_header(), it.children.size()); break;
+    case Item::kMap: EXPECT_EQ(d.next_map_header(), it.children.size() / 2); break;
+  }
+  for (const auto& child : it.children) expect_item(d, child);
+}
+
+TEST_P(MsgpackPropertyTest, RandomTypedValuesRoundTrip) {
+  Rng rng(GetParam());
+  std::vector<Item> items;
+  ByteBuffer buf;
+  Encoder e(buf);
+  for (int i = 0; i < 50; ++i) {
+    items.push_back(random_item(rng, 0));
+    pack_item(e, items.back());
+  }
+  Decoder typed(buf.view());
+  for (const auto& it : items) expect_item(typed, it);
+  EXPECT_THROW(typed.skip_value(), std::out_of_range);  // all input consumed
+
+  Decoder skipper(buf.view());
+  for (std::size_t i = 0; i < items.size(); ++i) skipper.skip_value();
+  EXPECT_THROW(skipper.skip_value(), std::out_of_range);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MsgpackPropertyTest,
@@ -173,6 +260,66 @@ msgpack::WireBatch make_batch(std::size_t samples, std::size_t bytes_each) {
     b.samples.push_back(std::move(s));
   }
   return b;
+}
+
+// The batch schema as an ordered list of (key, packer) pairs, so a test can
+// replace, drop or add one field and re-encode with the production Encoder.
+using Field = std::pair<std::string, std::function<void(Encoder&)>>;
+
+std::vector<Field> batch_fields(const WireBatch& b) {
+  return {
+      {"batch", [=](Encoder& e) { e.pack_uint(b.batch_id); }},
+      {"epoch", [=](Encoder& e) { e.pack_uint(b.epoch); }},
+      {"last", [=](Encoder& e) { e.pack_bool(b.last); }},
+      {"node", [=](Encoder& e) { e.pack_uint(b.node_id); }},
+      {"nsent", [=](Encoder& e) { e.pack_uint(b.sent_count); }},
+      {"samples",
+       [=](Encoder& e) {
+         e.pack_array_header(b.samples.size());
+         for (const auto& s : b.samples) {
+           e.pack_array_header(3);
+           e.pack_uint(s.index);
+           e.pack_int(s.label);
+           e.pack_bin(s.bytes);
+         }
+       }},
+      {"shard", [=](Encoder& e) { e.pack_uint(b.shard_id); }},
+      {"v", [](Encoder& e) { e.pack_uint(1); }},
+  };
+}
+
+void set_field(std::vector<Field>& fields, const std::string& key,
+               std::function<void(Encoder&)> pack) {
+  for (auto& f : fields) {
+    if (f.first == key) {
+      f.second = std::move(pack);
+      return;
+    }
+  }
+  fields.emplace_back(key, std::move(pack));
+}
+
+void erase_field(std::vector<Field>& fields, const std::string& key) {
+  std::erase_if(fields, [&](const Field& f) { return f.first == key; });
+}
+
+std::vector<std::uint8_t> encode_fields(const std::vector<Field>& fields) {
+  return enc([&](Encoder& e) {
+    e.pack_map_header(fields.size());
+    for (const auto& [key, pack] : fields) {
+      e.pack_string(key);
+      pack(e);
+    }
+  });
+}
+
+TEST(BatchCodec, EncodeMatchesTheDocumentedSchemaByteForByte) {
+  auto b = make_batch(3, 20);
+  EXPECT_EQ(BatchCodec::encode(b).to_vector(), encode_fields(batch_fields(b)));
+  b.trace_origin_ns = 123456789;
+  auto fields = batch_fields(b);
+  fields.insert(fields.end() - 1, Field{"t0", [](Encoder& e) { e.pack_uint(123456789); }});
+  EXPECT_EQ(BatchCodec::encode(b).to_vector(), encode_fields(fields));
 }
 
 TEST(BatchCodec, RoundTrip) {
@@ -218,13 +365,9 @@ TEST(BatchCodec, RejectsGarbage) {
 }
 
 TEST(BatchCodec, RejectsWrongVersion) {
-  // Craft a batch, then corrupt the version by re-encoding through the
-  // generic msgpack layer.
-  auto b = make_batch(1, 4);
-  Value root = decode(BatchCodec::encode(b));
-  Map m = root.as_map();
-  m["v"] = Value(static_cast<std::uint64_t>(99));
-  EXPECT_THROW(BatchCodec::decode(encode(Value(m))), std::runtime_error);
+  auto fields = batch_fields(make_batch(1, 4));
+  set_field(fields, "v", [](Encoder& e) { e.pack_uint(99); });
+  EXPECT_THROW(BatchCodec::decode(encode_fields(fields)), std::runtime_error);
 }
 
 TEST(BatchCodec, LargeSampleRoundTrip) {
@@ -249,73 +392,114 @@ TEST(BatchCodec, RejectsTruncationAtEveryPrefixLength) {
 
 // Fuzz regression: a length header may announce up to 4 GiB of payload that
 // the buffer does not contain. Truncation must surface as the ByteReader's
-// bounds check, never as a huge allocation or an out-of-bounds read.
+// bounds check, never as a huge allocation or an out-of-bounds read — on
+// skip_value, on the typed accessors and on the batch codec's key and
+// sample paths.
 TEST(Msgpack, HugeLengthHeadersRejectedBeforeAllocation) {
   // str32 / bin32 / array32 / map32 announcing 0xFFFFFFFF elements, then EOF.
   for (std::uint8_t tag : {0xDB, 0xC6, 0xDD, 0xDF}) {
     std::vector<std::uint8_t> bytes{tag, 0xFF, 0xFF, 0xFF, 0xFF};
-    EXPECT_THROW(decode(bytes), std::exception) << "tag 0x" << std::hex << int(tag);
-    Decoder skipper(bytes);
-    EXPECT_THROW(skipper.skip_value(), std::exception) << "tag 0x" << std::hex << int(tag);
+    EXPECT_THROW(Decoder(bytes).skip_value(), std::exception) << "tag 0x" << std::hex << int(tag);
+    EXPECT_THROW(BatchCodec::decode(bytes), std::exception) << "tag 0x" << std::hex << int(tag);
   }
+  const std::vector<std::uint8_t> str32{0xDB, 0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_THROW(Decoder(str32).next_string_view(), std::out_of_range);
+  const std::vector<std::uint8_t> bin32{0xC6, 0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_THROW(Decoder(bin32).next_bin_view(), std::out_of_range);
+
+  // A batch whose "samples" array announces 2^32 - 1 tuples: the codec's
+  // reserve is capped and the first missing tuple throws.
+  auto fields = batch_fields(make_batch(0, 0));
+  set_field(fields, "samples", [](Encoder& e) { e.pack_array_header(0xFFFFFFFFu); });
+  EXPECT_THROW(BatchCodec::decode(encode_fields(fields)), std::out_of_range);
+  // A root map announcing 2^32 - 1 keys.
+  const std::vector<std::uint8_t> huge_map{0xDF, 0xFF, 0xFF, 0xFF, 0xFF, 0xA1, 'v', 0x01};
+  EXPECT_THROW(BatchCodec::decode(huge_map), std::out_of_range);
 }
 
-// Fuzz regression: nesting is recursion, so both the decoder and skip_value
-// bound depth (a [[[[... bomb must throw, not exhaust the stack).
+// Fuzz regression: nesting is recursion, so skip_value bounds depth (a
+// [[[[... bomb must throw, not exhaust the stack) — also when the bomb sits
+// under an unknown key of an otherwise valid batch.
 TEST(Msgpack, NestingDepthCappedOnDecodeAndSkip) {
   std::vector<std::uint8_t> bomb(600, 0x91);  // 600 nested one-element arrays
   bomb.push_back(0xC0);
-  EXPECT_THROW(decode(bomb), std::runtime_error);
-  Decoder skipper(bomb);
-  EXPECT_THROW(skipper.skip_value(), std::runtime_error);
+  EXPECT_THROW(Decoder(bomb).skip_value(), std::runtime_error);
   // 16 levels is comfortably inside the cap.
   std::vector<std::uint8_t> shallow(16, 0x91);
   shallow.push_back(0xC0);
-  EXPECT_NO_THROW(decode(shallow));
+  EXPECT_NO_THROW(Decoder(shallow).skip_value());
+
+  auto fields = batch_fields(make_batch(1, 4));
+  set_field(fields, "future_field", [&](Encoder& e) {
+    for (int i = 0; i < 600; ++i) e.pack_array_header(1);
+    e.pack_bool(true);
+  });
+  EXPECT_THROW(BatchCodec::decode(encode_fields(fields)), std::runtime_error);
+  set_field(fields, "future_field", [&](Encoder& e) {
+    for (int i = 0; i < 16; ++i) e.pack_array_header(1);
+    e.pack_bool(true);
+  });
+  EXPECT_EQ(BatchCodec::decode(encode_fields(fields)).samples.size(), 1u);
 }
 
-// Fuzz regression: a fixmap whose key slot holds a non-string value must be
-// a clean schema error (Map keys are strings in this implementation).
+// Fuzz regression: a map whose key slot holds a non-string value, or that
+// ends before its announced pairs, must be a clean error.
 TEST(Msgpack, TruncatedAndNonStringKeyMapsRejected) {
   const std::vector<std::uint8_t> int_key{0x81, 0x07, 0xC0};  // {7: nil}
-  EXPECT_THROW(decode(int_key), std::runtime_error);
+  EXPECT_THROW(BatchCodec::decode(int_key), std::runtime_error);
   const std::vector<std::uint8_t> half_pair{0x81, 0xA1, 'k'};  // {"k": <EOF>
-  EXPECT_THROW(decode(half_pair), std::exception);
+  EXPECT_THROW(BatchCodec::decode(half_pair), std::exception);
+  EXPECT_THROW(Decoder(half_pair).skip_value(), std::out_of_range);
   const std::vector<std::uint8_t> missing_entry{0x82, 0xA1, 'k', 0xC0};  // 2 pairs, 1 present
-  EXPECT_THROW(decode(missing_entry), std::exception);
+  EXPECT_THROW(BatchCodec::decode(missing_entry), std::exception);
+  EXPECT_THROW(Decoder(missing_entry).skip_value(), std::out_of_range);
 }
 
 TEST(BatchCodec, RejectsMalformedSchemaVariants) {
-  auto base = decode(BatchCodec::encode(make_batch(2, 8))).as_map();
-
+  const auto base = batch_fields(make_batch(2, 8));
   auto corrupted = [&](auto&& mutate) {
-    Map m = base;
-    mutate(m);
-    return encode(Value(m));
+    auto fields = base;
+    mutate(fields);
+    return encode_fields(fields);
   };
 
   // Root is not a map.
-  EXPECT_THROW(BatchCodec::decode(encode(Value(std::int64_t(7)))), std::runtime_error);
+  EXPECT_THROW(BatchCodec::decode(enc_int(7)), std::runtime_error);
   // Field with the wrong wire type.
-  EXPECT_THROW(BatchCodec::decode(corrupted([](Map& m) { m["epoch"] = Value("not-a-uint"); })),
+  EXPECT_THROW(BatchCodec::decode(corrupted([](auto& f) {
+                 set_field(f, "epoch", [](Encoder& e) { e.pack_string("not-a-uint"); });
+               })),
                std::runtime_error);
-  EXPECT_THROW(BatchCodec::decode(corrupted([](Map& m) { m["last"] = Value(std::int64_t(1)); })),
+  EXPECT_THROW(BatchCodec::decode(corrupted([](auto& f) {
+                 set_field(f, "last", [](Encoder& e) { e.pack_int(1); });
+               })),
                std::runtime_error);
-  EXPECT_THROW(BatchCodec::decode(corrupted([](Map& m) { m["samples"] = Value("nope"); })),
+  EXPECT_THROW(BatchCodec::decode(corrupted([](auto& f) {
+                 set_field(f, "samples", [](Encoder& e) { e.pack_string("nope"); });
+               })),
                std::runtime_error);
   // Missing required field.
-  EXPECT_THROW(BatchCodec::decode(corrupted([](Map& m) { m.erase("nsent"); })),
+  EXPECT_THROW(BatchCodec::decode(corrupted([](auto& f) { erase_field(f, "nsent"); })),
                std::runtime_error);
   // Sample tuple with the wrong arity.
-  EXPECT_THROW(BatchCodec::decode(corrupted([](Map& m) {
-                 Array bad_tuple{Value(std::uint64_t(1)), Value(std::int64_t(2))};
-                 m["samples"] = Value(Array{Value(std::move(bad_tuple))});
+  EXPECT_THROW(BatchCodec::decode(corrupted([](auto& f) {
+                 set_field(f, "samples", [](Encoder& e) {
+                   e.pack_array_header(1);
+                   e.pack_array_header(2);
+                   e.pack_uint(1);
+                   e.pack_int(2);
+                 });
                })),
                std::runtime_error);
   // Sample bytes that are not a bin.
-  EXPECT_THROW(BatchCodec::decode(corrupted([](Map& m) {
-                 Array tuple{Value(std::uint64_t(1)), Value(std::int64_t(2)), Value("str")};
-                 m["samples"] = Value(Array{Value(std::move(tuple))});
+  EXPECT_THROW(BatchCodec::decode(corrupted([](auto& f) {
+                 set_field(f, "samples", [](Encoder& e) {
+                   e.pack_array_header(1);
+                   e.pack_array_header(3);
+                   e.pack_uint(1);
+                   e.pack_int(2);
+                   e.pack_string("str");
+                 });
                })),
                std::runtime_error);
 }
@@ -323,11 +507,11 @@ TEST(BatchCodec, RejectsMalformedSchemaVariants) {
 TEST(BatchCodec, WrongVersionDiagnosedBeforeSchemaDrift) {
   // A v99 sender that ALSO changed a field's type must be reported as a
   // version mismatch, not as the schema error the drift causes first.
-  Map m = decode(BatchCodec::encode(make_batch(1, 4))).as_map();
-  m["v"] = Value(static_cast<std::uint64_t>(99));
-  m["last"] = Value(std::int64_t(1));  // schema drift: bool → int
+  auto fields = batch_fields(make_batch(1, 4));
+  set_field(fields, "v", [](Encoder& e) { e.pack_uint(99); });
+  set_field(fields, "last", [](Encoder& e) { e.pack_int(1); });  // schema drift: bool → int
   try {
-    BatchCodec::decode(encode(Value(m)));
+    BatchCodec::decode(encode_fields(fields));
     FAIL() << "expected decode to throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("wire version 99"), std::string::npos) << e.what();
@@ -370,11 +554,23 @@ TEST(BatchCodec, RejectsDuplicateKeys) {
 }
 
 TEST(BatchCodec, ToleratesUnknownKeys) {
-  // Forward compatibility: an extra key from a newer sender is skipped.
-  Map m = decode(BatchCodec::encode(make_batch(1, 4))).as_map();
-  m["future_field"] = Value(Array{Value("x"), Value(std::int64_t(1))});
-  auto decoded = BatchCodec::decode(encode(Value(m)));
-  EXPECT_EQ(decoded.samples.size(), 1u);
+  // Forward compatibility: an extra key from a newer sender is skipped,
+  // whatever its type — nil and floats included, which this encoder never
+  // writes.
+  auto fields = batch_fields(make_batch(1, 4));
+  set_field(fields, "future_field", [](Encoder& e) {
+    e.pack_array_header(2);
+    e.pack_string("x");
+    e.pack_int(1);
+  });
+  EXPECT_EQ(BatchCodec::decode(encode_fields(fields)).samples.size(), 1u);
+
+  auto bytes = encode_fields(batch_fields(make_batch(1, 4)));
+  bytes[0] += 2;  // fixmap: two more pairs follow
+  const std::uint8_t extra[] = {0xA1, 'n', 0xC0, 0xA1, 'f', 0xCB};
+  bytes.insert(bytes.end(), std::begin(extra), std::end(extra));
+  bytes.insert(bytes.end(), 8, 0x40);
+  EXPECT_EQ(BatchCodec::decode(bytes).samples.size(), 1u);
 }
 
 TEST(BatchCodec, DecodeIsZeroCopyIntoSharedPayload) {

@@ -145,10 +145,13 @@ TEST(Framing, BadMagicRejected) {
 
 TEST(PushPull, MultiStreamDeliversAll) {
   PullSocket pull(0, 64);
+  std::atomic<int> connected{0};
+  pull.set_peer_callback([&](bool up) {
+    if (up) connected.fetch_add(1, std::memory_order_relaxed);
+  });
   PushPullOptions opts;
   opts.num_streams = 4;
   PushSocket push("127.0.0.1", pull.port(), opts);
-  EXPECT_EQ(push.num_streams(), 4u);
   constexpr int kCount = 200;
   for (int i = 0; i < kCount; ++i) {
     ASSERT_TRUE(push.send(msg({static_cast<std::uint8_t>(i % 256)})));
@@ -163,6 +166,7 @@ TEST(PushPull, MultiStreamDeliversAll) {
   std::multiset<int> want;
   for (int i = 0; i < kCount; ++i) want.insert(i % 256);
   EXPECT_EQ(got, want);
+  EXPECT_EQ(connected.load(), 4);  // round-robin striping used every stream
 }
 
 TEST(PushPull, MultipleSendersOnePuller) {
@@ -235,7 +239,6 @@ TEST(PushPull, DataSyscallAuditCountsOneWritePerFrame) {
   }
   for (std::uint64_t i = 0; i < kCount; ++i) ASSERT_TRUE(pull.recv().has_value());
   push.close();
-  EXPECT_EQ(push.messages_sent(), kCount);
   EXPECT_EQ(push.data_syscalls(), kCount);  // exactly one sendmsg per tiny frame
 }
 
@@ -361,7 +364,6 @@ TEST(RetryPolicy, BackoffGrowsGeometricallyAndClampsAtCeiling) {
   o.max_attempts = 6;
   o.initial_backoff = std::chrono::milliseconds(10);
   o.max_backoff = std::chrono::milliseconds(40);
-  o.multiplier = 2.0;
   o.jitter = 0.0;
   RetryPolicy p(o);
   std::vector<long long> delays;
@@ -378,7 +380,7 @@ TEST(RetryPolicy, DeadlineTripsOnVirtualElapsedWithoutSleeping) {
   RetryOptions o;
   o.max_attempts = 0;  // unlimited attempts: only the deadline ends this
   o.initial_backoff = std::chrono::milliseconds(30);
-  o.multiplier = 1.0;
+  o.max_backoff = std::chrono::milliseconds(30);  // flat schedule
   o.jitter = 0.0;
   o.deadline = std::chrono::milliseconds(100);
   RetryPolicy p(o);
@@ -519,18 +521,12 @@ struct TransportParam {
 TransportPair make_tcp_pair(std::size_t hwm, std::size_t /*max_message*/) {
   // One sender, known to the receiver up front (expected_senders) — sender
   // close then ends the pull stream after drain, same as the other lanes.
-  struct OwningPullSource final : MessageSource {
-    explicit OwningPullSource(std::unique_ptr<PullSocket> s) : socket(std::move(s)) {}
-    std::optional<Payload> recv() override { return socket->recv(); }
-    void close() override { socket->close(); }
-    std::unique_ptr<PullSocket> socket;
-  };
   auto pull = std::make_unique<PullSocket>(0, /*queue_capacity=*/hwm, /*expected_senders=*/1);
   PushPullOptions opts;
   opts.high_water_mark = hwm;
   opts.num_streams = 1;  // order-preserving configuration
   auto push = std::make_shared<PushSocket>("127.0.0.1", pull->port(), opts);
-  return {.source = std::make_unique<OwningPullSource>(std::move(pull)), .sink = std::move(push)};
+  return {.source = std::move(pull), .sink = std::move(push)};
 }
 
 TransportPair make_sim_pair(std::size_t hwm, std::size_t /*max_message*/) {

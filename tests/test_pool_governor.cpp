@@ -149,8 +149,6 @@ PoolGovernorConfig fast_config(std::size_t min_threads, std::size_t max_threads)
   gc.min_threads = min_threads;
   gc.max_threads = max_threads;
   gc.interval = std::chrono::milliseconds(1);
-  gc.min_events = 4;
-  gc.cooldown_windows = 1;
   return gc;
 }
 

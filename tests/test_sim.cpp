@@ -20,7 +20,6 @@ TEST(Engine, RunsEventsInTimeOrder) {
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(eng.now(), from_seconds(3));
-  EXPECT_EQ(eng.events_processed(), 3u);
 }
 
 TEST(Engine, SimultaneousEventsFifo) {
@@ -51,18 +50,6 @@ TEST(Engine, RejectsPastScheduling) {
   eng.run();
   EXPECT_THROW(eng.schedule_at(0, [] {}), std::invalid_argument);
   EXPECT_THROW(eng.schedule(-1, [] {}), std::invalid_argument);
-}
-
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine eng;
-  int fired = 0;
-  eng.schedule(from_seconds(1), [&] { ++fired; });
-  eng.schedule(from_seconds(5), [&] { ++fired; });
-  eng.run_until(from_seconds(2));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(eng.now(), from_seconds(2));
-  eng.run();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(Meter, IntegratesBusyTime) {
@@ -136,19 +123,13 @@ TEST(Pipe, LatencyOverlapsAcrossTransfers) {
   for (double t : completions) EXPECT_NEAR(t, 1.0, 0.001);
 }
 
-TEST(Pipe, UnloadedTimeFormula) {
+TEST(Pipe, IdleTransferTakesSerializationPlusLatency) {
   Engine eng;
   Pipe pipe(eng, 1000.0, from_millis(5));
-  EXPECT_EQ(pipe.unloaded_time(1000), from_seconds(1) + from_millis(5));
-}
-
-TEST(Pipe, TracksBytes) {
-  Engine eng;
-  Pipe pipe(eng, 1e6, 0);
-  pipe.transfer(123, [] {});
-  pipe.transfer(877, [] {});
+  Nanos delivered = -1;
+  pipe.transfer(1000, [&] { delivered = eng.now(); });
   eng.run();
-  EXPECT_EQ(pipe.bytes_transferred(), 1000u);
+  EXPECT_EQ(delivered, from_seconds(1) + from_millis(5));
 }
 
 TEST(Server, LimitsConcurrency) {

@@ -155,19 +155,6 @@ TEST_F(TfrecordTest, VerifyAllCatchesCorruption) {
   EXPECT_THROW(reader.verify_all(), std::runtime_error);
 }
 
-TEST_F(TfrecordTest, RebuildIndexFromFile) {
-  ShardWriter w(9, path("s.tfrecord"));
-  for (int i = 0; i < 7; ++i)
-    w.append(payload(32 + static_cast<std::size_t>(i), 0), i, static_cast<std::uint64_t>(i));
-  auto idx = w.finish();
-  auto rebuilt = ShardReader::rebuild_index(9, path("s.tfrecord"));
-  ASSERT_EQ(rebuilt.num_records(), idx.num_records());
-  for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(rebuilt.records[i].offset, idx.records[i].offset);
-    EXPECT_EQ(rebuilt.records[i].framed_size, idx.records[i].framed_size);
-  }
-}
-
 TEST_F(TfrecordTest, ShardIndexJsonRoundTrip) {
   ShardIndex idx;
   idx.shard_id = 12;

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   const fs::path sh = out / "shm_header";
   fs::create_directories(sh);
   {
-    emlio::net::ShmSegment::Options opts;
+    emlio::net::ShmOptions opts;
     opts.slab_bytes = 1u << 16;
     opts.slab_count = 4;
     const std::string name = "/emlio-fuzz-corpus-" + std::to_string(::getpid());
